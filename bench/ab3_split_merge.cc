@@ -13,7 +13,7 @@
 #include <string>
 
 #include "bench_json.h"
-#include "quicksand/adapt/shard_maintenance.h"
+#include "quicksand/ds/sharded_vector.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/trace/bench_trace.h"
 
@@ -86,15 +86,15 @@ void Main() {
     env.sim.RunUntil(env.sim.Now() + Duration::Millis(1));
 
     const SimTime split_start = env.sim.Now();
-    QS_CHECK(env.sim.BlockOn(SplitVectorShard(ctx, vec, donor)).ok());
+    QS_CHECK(env.sim.BlockOn(vec.Split(ctx, donor)).ok());
     const Duration split_time = env.sim.Now() - split_start;
 
     env.sim.RunUntil(env.sim.Now() + Duration::Millis(1));
     env.sim.BlockOn(vec.router().Refresh(ctx));
     const auto shards = vec.router().cached_shards();
     QS_CHECK(shards.size() == 2);
-    // Merging requires a sealed right-hand shard; retire the tail first
-    // (in the wild the vector has stopped growing by merge time).
+    // MaintainShards merges only sealed shards, so the growing tail stays
+    // put; seal it first, as a vector that has stopped growing would be.
     {
       QS_CHECK(env.sim.BlockOn(env.rt->BeginMaintenance(shards[1].proclet)).ok());
       auto* tail = env.rt->UnsafeGet<BlobVector::Shard>(shards[1].proclet);
@@ -102,7 +102,7 @@ void Main() {
       env.rt->EndMaintenance(shards[1].proclet);
     }
     const SimTime merge_start = env.sim.Now();
-    QS_CHECK(env.sim.BlockOn(MergeVectorShards(ctx, vec, shards[0], shards[1])).ok());
+    QS_CHECK(env.sim.BlockOn(vec.Merge(ctx, shards[0], shards[1])).ok());
     const Duration merge_time = env.sim.Now() - merge_start;
     stop = true;
     env.sim.RunUntil(env.sim.Now() + Duration::Millis(1));

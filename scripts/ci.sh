@@ -2,7 +2,8 @@
 # CI entry point: tier-1 tests (plain + ASan/UBSan via scripts/check.sh) and
 # the smoke gates (durability, trace determinism, partition failover,
 # overload control, autoscale, chaos, memoization), each of which fails on
-# nondeterminism between two same-seed runs.
+# nondeterminism between two same-seed runs, plus the split/merge gate: ab3
+# must reproduce the committed results/BENCH_ab3.json byte for byte.
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -52,6 +53,13 @@ echo "== chaos smoke: fixed schedule corpus survives; the reintroduced reshape b
 
 echo "== memo smoke: hit-rate, cache-first harvest and stale-serve gates, deterministically =="
 ./build/bench/ab12_memo --smoke
+
+echo "== split/merge gate: ab3 reproduces the committed split/merge cost record byte for byte =="
+ab3_dir="$(mktemp -d)"
+mkdir -p "$ab3_dir/results"
+(cd "$ab3_dir" && "$OLDPWD/build/bench/ab3_split_merge" >/dev/null)
+cmp "$ab3_dir/results/BENCH_ab3.json" results/BENCH_ab3.json
+rm -rf "$ab3_dir"
 
 echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
 ./build/bench/scale_sim --smoke

@@ -5,9 +5,9 @@
 // load through SampleShards and steers through four verbs: split a hot
 // shard, merge cold neighbors, migrate a shard wholesale, and ask the set
 // where a split should cut. Anything that owns a set of range-partitioned
-// proclets (today KvFrontend; later the memoization tier or gang-placed
-// shard groups, ROADMAP items 4–5) can implement this and inherit the whole
-// control loop.
+// proclets can implement this and inherit the whole control loop; KvFrontend
+// does, running its split and merge verbs through the reshape engine
+// (sharding/reshape.h) that ShardedVector and ShardedMap share.
 //
 // Contract details the executor depends on:
 //

@@ -1,33 +1,35 @@
 // ShardedMap<K, V>: an associative container partitioned into memory
 // proclets by a uint64 projection of the key (§3.2).
 //
-// The projection (default: std::hash) maps keys onto the uint64 sharding
-// space; each shard proclet owns a half-open projection range and stores its
-// entries in an ordered map keyed by (projection, key). The map starts as a
-// single shard covering the whole space; the adaptive controller (§3.3)
-// splits shards whose heap exceeds the configured maximum at their median
-// projection, and merges adjacent undersized shards — the hash-table
-// shrink scenario the paper describes.
+// The projection (default: std::hash, clamped as MapShardProclet::Project
+// says) maps keys onto the uint64 sharding space; each shard proclet owns a
+// half-open projection range and stores its entries in an ordered map keyed
+// by (projection, key). The map starts as a single shard covering the whole
+// space; the adaptive controller (§3.3) splits shards whose heap exceeds the
+// configured maximum at their median projection, and merges adjacent
+// undersized shards — the hash-table shrink scenario the paper describes.
 //
-// ShardedSet<K> is the value-less specialization at the bottom of this file.
+// Routing, retries and split/merge go through the shared ShardClient
+// (sharding/shard_client.h). ShardedSet<K> is the value-less specialization
+// at the bottom of this file.
 
 #ifndef QUICKSAND_DS_SHARDED_MAP_H_
 #define QUICKSAND_DS_SHARDED_MAP_H_
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "quicksand/common/bytes.h"
 #include "quicksand/common/status.h"
 #include "quicksand/common/wire.h"
-#include "quicksand/durability/checkpoint_manager.h"
-#include "quicksand/durability/replication.h"
 #include "quicksand/runtime/runtime.h"
-#include "quicksand/sharding/shard_index.h"
+#include "quicksand/sharding/shard_client.h"
 
 namespace quicksand {
 
@@ -43,18 +45,26 @@ class MapShardProclet : public ProcletBase {
 
   MapShardProclet(const ProcletInit& init, uint64_t begin, uint64_t end)
       : ProcletBase(init), begin_(begin), end_(end) {}
-  // Restore/backup factory form; RestoreState supplies the range and
-  // contents (an empty [0, 0) range owns nothing until then).
+  // Restore/backup factory form; RestoreState (or AdoptPayload) supplies the
+  // range and contents (an empty [0, 0) range owns nothing until then).
   explicit MapShardProclet(const ProcletInit& init)
       : MapShardProclet(init, 0, 0) {}
 
-  uint64_t begin() const { return begin_; }
-  uint64_t end() const { return end_; }
+  // A key's place in the sharding space, clamped below UINT64_MAX so the
+  // half-open range [0, UINT64_MAX) covers every key (std::hash<int>(-1) is
+  // UINT64_MAX itself).
+  static uint64_t Project(const K& key) {
+    const uint64_t proj = Proj{}(key);
+    return proj == UINT64_MAX ? UINT64_MAX - 1 : proj;
+  }
+
+  uint64_t range_begin() const { return begin_; }
+  uint64_t range_end() const { return end_; }
   int64_t count() const { return static_cast<int64_t>(entries_.size()); }
   int64_t data_bytes() const { return data_bytes_; }
 
   Status Put(K key, V value) {
-    const uint64_t proj = Proj{}(key);
+    const uint64_t proj = Project(key);
     if (!Owns(proj)) {
       return Status::OutOfRange("key projects outside this shard");
     }
@@ -85,7 +95,7 @@ class MapShardProclet : public ProcletBase {
   }
 
   Result<V> Get(const K& key) const {
-    const uint64_t proj = Proj{}(key);
+    const uint64_t proj = Project(key);
     if (!Owns(proj)) {
       return Status::OutOfRange("key projects outside this shard");
     }
@@ -98,7 +108,7 @@ class MapShardProclet : public ProcletBase {
 
   // kNotFound if absent; kOutOfRange if wrongly routed.
   Status Erase(const K& key) {
-    const uint64_t proj = Proj{}(key);
+    const uint64_t proj = Project(key);
     if (!Owns(proj)) {
       return Status::OutOfRange("key projects outside this shard");
     }
@@ -125,7 +135,7 @@ class MapShardProclet : public ProcletBase {
   }
 
   bool Contains(const K& key) const {
-    const uint64_t proj = Proj{}(key);
+    const uint64_t proj = Project(key);
     return Owns(proj) && entries_.count(EntryKey{proj, key}) > 0;
   }
 
@@ -139,40 +149,43 @@ class MapShardProclet : public ProcletBase {
     return out;
   }
 
-  // --- Maintenance (gate must be closed) -------------------------------------
+  // --- Split/merge hooks (gate must be closed; see sharding/reshape.h) -----
 
+  // Entries projecting to [range_begin, range_end), in transit.
   struct SplitPayload {
-    uint64_t split_point;  // new shard owns [split_point, old end)
+    uint64_t range_begin;
     uint64_t range_end;
     std::vector<std::tuple<K, V, int64_t>> entries;  // key, value, bytes
     int64_t total_bytes;
   };
 
-  // Splits at the median projection. Fails if all entries share one
-  // projection (nothing to split on).
-  Result<SplitPayload> ExtractUpperHalf() {
-    QS_CHECK_MSG(gate_closed(), "ExtractUpperHalf requires a closed gate");
+  // The median projection, or the first one above range_begin after it (a
+  // cut at range_begin would move everything). Fails if all entries share
+  // one projection (nothing to split on).
+  Result<uint64_t> MedianSplitPoint() const {
     if (entries_.size() < 2) {
       return Status::FailedPrecondition("too few entries to split");
     }
     auto mid = entries_.begin();
     std::advance(mid, static_cast<ptrdiff_t>(entries_.size() / 2));
-    uint64_t split_point = mid->first.proj;
-    if (split_point == begin_) {
-      // Skip forward to the first projection > begin_.
-      while (mid != entries_.end() && mid->first.proj == begin_) {
-        ++mid;
-      }
-      if (mid == entries_.end()) {
-        return Status::FailedPrecondition("all entries share one projection");
-      }
-      split_point = mid->first.proj;
+    while (mid != entries_.end() && mid->first.proj == begin_) {
+      ++mid;
     }
-    SplitPayload payload;
-    payload.split_point = split_point;
-    payload.range_end = end_;
-    payload.total_bytes = 0;
-    auto first_moved = entries_.lower_bound(EntryKey{split_point, K{}});
+    if (mid == entries_.end()) {
+      return Status::FailedPrecondition("all entries share one projection");
+    }
+    return mid->first.proj;
+  }
+
+  // Moves the entries projecting to [split_point, range_end) into the
+  // payload; this shard shrinks to [range_begin, split_point).
+  SplitPayload ExtractUpperRange(uint64_t split_point) {
+    QS_CHECK_MSG(gate_closed(), "ExtractUpperRange requires a closed gate");
+    SplitPayload payload{split_point, end_, {}, 0};
+    auto first_moved =
+        std::partition_point(entries_.begin(), entries_.end(), [&](const auto& e) {
+          return e.first.proj < split_point;
+        });
     for (auto it = first_moved; it != entries_.end(); ++it) {
       payload.total_bytes += it->second.bytes;
       payload.entries.emplace_back(it->first.key, std::move(it->second.value),
@@ -185,65 +198,43 @@ class MapShardProclet : public ProcletBase {
     return payload;
   }
 
-  // Installs a split payload into this (fresh) shard. On failure the payload
-  // is left untouched so the caller can roll it back into the donor.
+  // Empties the shard (merge donor). Its range collapses to empty, so until
+  // it is destroyed (or restored by a rollback AdoptPayload) it answers every
+  // request with kOutOfRange and clients with stale routes refresh instead
+  // of trusting a false NotFound.
+  SplitPayload ExtractAll() { return ExtractUpperRange(begin_); }
+
+  // Installs a payload into this shard, which takes over exactly its range.
+  // On failure the payload is left untouched so the caller can roll it back
+  // into the donor.
   Status AdoptPayload(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AdoptPayload requires a closed gate");
-    QS_CHECK(payload.split_point == begin_ && payload.range_end == end_);
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
-    data_bytes_ += payload.total_bytes;
-    for (auto& [key, value, bytes] : payload.entries) {
-      const uint64_t proj = Proj{}(key);
-      entries_[EntryKey{proj, std::move(key)}] = Entry{std::move(value), bytes};
-    }
-    retired_ = false;  // a merge rollback re-animates the donor
+    begin_ = payload.range_begin;
+    end_ = payload.range_end;
+    Install(std::move(payload));
     return Status::Ok();
   }
 
-  // Removes everything and widens nothing (merge donor side). The shard is
-  // *retired*: until destroyed (or restored by a rollback AdoptPayload) it
-  // answers every request with kOutOfRange, so clients with stale routes
-  // refresh instead of trusting a false NotFound.
-  SplitPayload ExtractAll() {
-    QS_CHECK_MSG(gate_closed(), "ExtractAll requires a closed gate");
-    SplitPayload payload;
-    payload.split_point = begin_;
-    payload.range_end = end_;
-    payload.total_bytes = data_bytes_;
-    for (auto& [ekey, entry] : entries_) {
-      payload.entries.emplace_back(ekey.key, std::move(entry.value), entry.bytes);
-    }
-    entries_.clear();
-    ReleaseHeap(data_bytes_);
-    data_bytes_ = 0;
-    retired_ = true;
-    return payload;
-  }
-
   // Absorbs the right neighbor's payload and takes over its range. On
-  // failure the payload is left untouched (the caller re-adopts it into the
-  // donor).
+  // failure the payload is left untouched.
   Status AbsorbRightNeighbor(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AbsorbRightNeighbor requires a closed gate");
-    QS_CHECK(payload.split_point == end_);
+    QS_CHECK(payload.range_begin == end_);
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
-    data_bytes_ += payload.total_bytes;
     end_ = payload.range_end;
-    for (auto& [key, value, bytes] : payload.entries) {
-      const uint64_t proj = Proj{}(key);
-      entries_[EntryKey{proj, std::move(key)}] = Entry{std::move(value), bytes};
-    }
+    Install(std::move(payload));
     return Status::Ok();
   }
 
   // --- Durability -----------------------------------------------------------
 
   std::optional<StateImage> CaptureState() const override {
-    MapImage image{begin_, end_, retired_, data_bytes_, entries_, heap_bytes()};
+    MapImage image{begin_, end_, data_bytes_, entries_, heap_bytes()};
     return StateImage{std::any(std::move(image)), heap_bytes()};
   }
 
@@ -257,7 +248,6 @@ class MapShardProclet : public ProcletBase {
     }
     begin_ = img->begin;
     end_ = img->end;
-    retired_ = img->retired;
     data_bytes_ = img->data_bytes;
     entries_ = img->entries;
     return Status::Ok();
@@ -283,19 +273,23 @@ class MapShardProclet : public ProcletBase {
   struct MapImage {
     uint64_t begin;
     uint64_t end;
-    bool retired;
     int64_t data_bytes;
     std::map<EntryKey, Entry> entries;
     int64_t heap_bytes;
   };
 
-  bool Owns(uint64_t proj) const {
-    return !retired_ && proj >= begin_ && (proj < end_ || end_ == UINT64_MAX);
+  bool Owns(uint64_t proj) const { return proj >= begin_ && proj < end_; }
+
+  void Install(SplitPayload&& payload) {
+    data_bytes_ += payload.total_bytes;
+    for (auto& [key, value, bytes] : payload.entries) {
+      const uint64_t proj = Project(key);
+      entries_[EntryKey{proj, std::move(key)}] = Entry{std::move(value), bytes};
+    }
   }
 
   uint64_t begin_;
-  uint64_t end_;  // UINT64_MAX means "through the top of the space"
-  bool retired_ = false;
+  uint64_t end_;
   int64_t data_bytes_ = 0;
   std::map<EntryKey, Entry> entries_;
 };
@@ -304,30 +298,18 @@ template <typename K, typename V, typename Proj = DefaultShardProjection<K>>
 class ShardedMap {
  public:
   using Shard = MapShardProclet<K, V, Proj>;
-
-  struct Options {
-    int64_t max_shard_bytes = 16 * kMiB;
-    int64_t shard_base_bytes = 4096;
-    // Durability (optional; not owned) — see ShardedVector::Options.
-    ReplicationManager* replication = nullptr;
-    CheckpointManager* checkpoints = nullptr;
-    Duration restore_stall = Duration::Millis(50);
-  };
+  using Options = ShardedOptions;
 
   ShardedMap() = default;
 
   static Task<Result<ShardedMap>> Create(Ctx ctx, Options options = Options{}) {
-    PlacementRequest index_req;
-    index_req.heap_bytes = options.shard_base_bytes;
-    auto create_index = ctx.rt->Create<ShardIndexProclet>(ctx, index_req);
-    Result<Ref<ShardIndexProclet>> index = co_await std::move(create_index);
-    if (!index.ok()) {
-      co_return index.status();
+    auto open = ShardClient::Create(ctx, options);
+    Result<ShardClient> client = co_await std::move(open);
+    if (!client.ok()) {
+      co_return client.status();
     }
     ShardedMap map;
-    map.index_ = *index;
-    map.router_ = ShardRouter(*index);
-    map.options_ = options;
+    map.client_ = std::move(*client);
 
     PlacementRequest shard_req;
     shard_req.heap_bytes = options.shard_base_bytes;
@@ -337,151 +319,55 @@ class ShardedMap {
     if (!shard.ok()) {
       co_return shard.status();
     }
-    ShardInfo info;
-    info.proclet = shard->id();
-    info.begin = 0;
-    info.end = UINT64_MAX;
-    auto add = map.index_.Call(ctx, [info](ShardIndexProclet& p) -> Task<Status> {
-      co_return p.AddShard(info);
-    });
+    const ShardInfo info{shard->id(), 0, UINT64_MAX, 0, 0};
+    auto add = map.client_.EditIndex(
+        ctx, [info](ShardIndexProclet& p) { return p.AddShard(info); });
     Status added = co_await std::move(add);
     if (!added.ok()) {
       co_return added;
     }
-    Status protected_index =
-        co_await map.template ProtectNew<ShardIndexProclet>(ctx, index->id());
+    Status protected_index = co_await map.client_.template ProtectNew<ShardIndexProclet>(
+        ctx, map.index().id());
     if (!protected_index.ok()) {
       co_return protected_index;
     }
     Status protected_shard =
-        co_await map.template ProtectNew<Shard>(ctx, shard->id());
+        co_await map.client_.template ProtectNew<Shard>(ctx, shard->id());
     if (!protected_shard.ok()) {
       co_return protected_shard;
     }
     co_return map;
   }
 
-  Ref<ShardIndexProclet> index() const { return index_; }
-  ShardRouter& router() { return router_; }
-  const Options& options() const { return options_; }
+  Ref<ShardIndexProclet> index() const { return client_.index(); }
+  ShardRouter& router() { return client_.router(); }
+  const Options& options() const { return client_.options(); }
 
   Task<Status> Put(Ctx ctx, K key, V value) {
-    const uint64_t proj = Proj{}(key);
+    const uint64_t proj = Shard::Project(key);
     const int64_t request_bytes = WireSizeOf(key) + WireSizeOf(value);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, proj);
-      if (!info.ok()) {
-        co_return info.status();
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(
-          ctx,
-          [key, value](Shard& s) mutable -> Task<Status> {
-            co_return s.Put(std::move(key), std::move(value));
-          },
-          request_bytes);
-      std::optional<Status> status;
-      bool shard_lost = false;
-      try {
-        status.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;  // co_await is illegal in a handler; stall below
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (status->code() == StatusCode::kOutOfRange) {
-        router_.Invalidate();
-        continue;
-      }
-      co_return *status;
-    }
-    co_return Status::Aborted("too many put retries");
+    return client_.template Call<Shard>(
+        ctx, proj,
+        [key = std::move(key), value = std::move(value)](Shard& s) mutable -> Task<Status> {
+          co_return s.Put(std::move(key), std::move(value));
+        },
+        request_bytes);
   }
 
   Task<Result<V>> Get(Ctx ctx, K key) {
-    const uint64_t proj = Proj{}(key);
+    const uint64_t proj = Shard::Project(key);
     const int64_t request_bytes = WireSizeOf(key);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, proj);
-      if (!info.ok()) {
-        co_return info.status();
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(
-          ctx, [key](Shard& s) -> Task<Result<V>> { co_return s.Get(key); },
-          request_bytes);
-      std::optional<Result<V>> value;
-      bool shard_lost = false;
-      try {
-        value.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (!value->ok() && value->status().code() == StatusCode::kOutOfRange) {
-        router_.Invalidate();
-        continue;
-      }
-      co_return std::move(*value);
-    }
-    co_return Status::Aborted("too many get retries");
+    return client_.template Call<Shard>(
+        ctx, proj,
+        [key = std::move(key)](Shard& s) -> Task<Result<V>> { co_return s.Get(key); },
+        request_bytes);
   }
 
   Task<Status> Erase(Ctx ctx, K key) {
-    const uint64_t proj = Proj{}(key);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, proj);
-      if (!info.ok()) {
-        co_return info.status();
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(ctx, [key](Shard& s) -> Task<Status> {
-        co_return s.Erase(key);
-      });
-      std::optional<Status> status;
-      bool shard_lost = false;
-      try {
-        status.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (status->code() == StatusCode::kOutOfRange) {
-        router_.Invalidate();
-        continue;
-      }
-      co_return *status;
-    }
-    co_return Status::Aborted("too many erase retries");
+    const uint64_t proj = Shard::Project(key);
+    return client_.template Call<Shard>(
+        ctx, proj,
+        [key = std::move(key)](Shard& s) -> Task<Status> { co_return s.Erase(key); });
   }
 
   Task<Result<bool>> Contains(Ctx ctx, K key) {
@@ -497,167 +383,47 @@ class ShardedMap {
   }
 
   Task<Result<int64_t>> Size(Ctx ctx) {
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Status refreshed = co_await RefreshSafe(ctx);
-      if (!refreshed.ok()) {
-        co_return refreshed;
-      }
-      int64_t total = 0;
-      bool retry = false;
-      for (const ShardInfo& info : router_.cached_shards()) {
-        Ref<Shard> shard(ctx.rt, info.proclet);
-        auto call = shard.Call(ctx, [](Shard& s) -> Task<int64_t> {
-          co_return s.count();
-        });
-        bool shard_lost = false;
-        try {
-          total += co_await std::move(call);
-        } catch (const ProcletGoneError&) {
-          router_.Invalidate();
-          co_return Status::Aborted("shard set changed during size scan");
-        } catch (const ProcletLostError&) {
-          router_.Invalidate();
-          shard_lost = true;
-        }
-        if (shard_lost) {
-          const bool restored = co_await AwaitShardRestore(ctx, info.proclet);
-          if (!restored) {
-            co_return Status::DataLoss(LostShardMessage(info));
-          }
-          retry = true;
-          break;
-        }
-      }
-      if (retry) {
-        continue;
-      }
-      co_return total;
+    auto scan = client_.template Scan<Shard>(
+        ctx, [](Shard& s) -> Task<int64_t> { co_return s.count(); });
+    Result<std::vector<int64_t>> counts = co_await std::move(scan);
+    if (!counts.ok()) {
+      co_return counts.status();
     }
-    co_return Status::Aborted("too many size retries");
+    int64_t total = 0;
+    for (int64_t c : *counts) {
+      total += c;
+    }
+    co_return total;
   }
 
   // Copies out every entry, shard by shard (iteration primitive).
   Task<Result<std::vector<std::pair<K, V>>>> Items(Ctx ctx) {
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Status refreshed = co_await RefreshSafe(ctx);
-      if (!refreshed.ok()) {
-        co_return refreshed;
-      }
-      std::vector<std::pair<K, V>> out;
-      bool retry = false;
-      for (const ShardInfo& info : router_.cached_shards()) {
-        Ref<Shard> shard(ctx.rt, info.proclet);
-        auto call = shard.Call(ctx, [](Shard& s) -> Task<std::vector<std::pair<K, V>>> {
-          co_return s.Items();
-        });
-        bool shard_lost = false;
-        try {
-          std::vector<std::pair<K, V>> items = co_await std::move(call);
-          for (auto& item : items) {
-            out.push_back(std::move(item));
-          }
-        } catch (const ProcletGoneError&) {
-          router_.Invalidate();
-          co_return Status::Aborted("shard set changed during scan");
-        } catch (const ProcletLostError&) {
-          router_.Invalidate();
-          shard_lost = true;
-        }
-        if (shard_lost) {
-          const bool restored = co_await AwaitShardRestore(ctx, info.proclet);
-          if (!restored) {
-            co_return Status::DataLoss(LostShardMessage(info));
-          }
-          retry = true;
-          break;
-        }
-      }
-      if (retry) {
-        continue;
-      }
-      co_return out;
+    auto scan = client_.template Scan<Shard>(
+        ctx, [](Shard& s) -> Task<std::vector<std::pair<K, V>>> { co_return s.Items(); });
+    Result<std::vector<std::vector<std::pair<K, V>>>> shards = co_await std::move(scan);
+    if (!shards.ok()) {
+      co_return shards.status();
     }
-    co_return Status::Aborted("too many scan retries");
+    std::vector<std::pair<K, V>> out;
+    for (auto& items : *shards) {
+      for (auto& item : items) {
+        out.push_back(std::move(item));
+      }
+    }
+    co_return out;
+  }
+
+  // Splits `donor` at its median projection onto a best-fit machine and merges
+  // adjacent shards, through the reshape engine.
+  Task<Status> Split(Ctx ctx, ShardInfo donor) {
+    return client_.template Split<Shard>(ctx, donor);
+  }
+  Task<Status> Merge(Ctx ctx, ShardInfo left, ShardInfo right) {
+    return client_.template Merge<Shard>(ctx, left, right);
   }
 
  private:
-  static constexpr int kMaxAttempts = 16;
-
-  // Unrecoverable loss: report the projection range whose entries died with
-  // the machine instead of retrying forever.
-  static std::string LostShardMessage(const ShardInfo& info) {
-    return "keys projecting to [" + std::to_string(info.begin) + ", " +
-           std::to_string(info.end) + ") lost to a machine failure";
-  }
-
-  // --- Durability helpers (see ShardedVector for commentary) ----------------
-
-  template <typename P>
-  Task<Status> ProtectNew(Ctx ctx, ProcletId id) {
-    if (options_.replication != nullptr) {
-      co_return co_await options_.replication->template ReplicateAs<P>(ctx, id);
-    }
-    if (options_.checkpoints != nullptr) {
-      co_return co_await options_.checkpoints->template ProtectAs<P>(ctx, id);
-    }
-    co_return Status::Ok();
-  }
-
-  Task<bool> AwaitShardRestore(Ctx ctx, ProcletId id) {
-    if (!ctx.rt->recovery_enabled()) {
-      co_return false;
-    }
-    co_return co_await ctx.rt->AwaitRestore(id, options_.restore_stall);
-  }
-
-  Task<Status> RefreshSafe(Ctx ctx) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      bool index_lost = false;
-      try {
-        co_await router_.Refresh(ctx);
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return Status::Ok();
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many index refresh retries");
-  }
-
-  Task<Result<ShardInfo>> RouteSafe(Ctx ctx, uint64_t key) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      std::optional<Result<ShardInfo>> routed;
-      bool index_lost = false;
-      try {
-        routed.emplace(co_await router_.Route(ctx, key));
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return std::move(*routed);
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many route retries");
-  }
-
-  Ref<ShardIndexProclet> index_;
-  ShardRouter router_;
-  Options options_;
+  ShardClient client_;
 };
 
 // ShardedSet<K>: membership-only wrapper over ShardedMap.

@@ -10,8 +10,9 @@
 // controller (§3.3).
 //
 // The handle is a cheap client-side object; any number of actors may hold
-// copies. Routing goes through a cached index snapshot; stale routes get
-// kOutOfRange/kFailedPrecondition from shards and refresh-retry.
+// copies. Routing, retries and split/merge go through the shared ShardClient
+// (sharding/shard_client.h); stale routes get kOutOfRange/kFailedPrecondition
+// from shards and refresh-retry.
 
 #ifndef QUICKSAND_DS_SHARDED_VECTOR_H_
 #define QUICKSAND_DS_SHARDED_VECTOR_H_
@@ -23,13 +24,10 @@
 #include <utility>
 #include <vector>
 
-#include "quicksand/common/bytes.h"
 #include "quicksand/common/status.h"
 #include "quicksand/common/wire.h"
-#include "quicksand/durability/checkpoint_manager.h"
-#include "quicksand/durability/replication.h"
 #include "quicksand/runtime/runtime.h"
-#include "quicksand/sharding/shard_index.h"
+#include "quicksand/sharding/shard_client.h"
 
 namespace quicksand {
 
@@ -50,8 +48,9 @@ class VectorShardProclet : public ProcletBase {
   explicit VectorShardProclet(const ProcletInit& init)
       : VectorShardProclet(init, 0) {}
 
-  uint64_t base() const { return base_; }
-  uint64_t end_index() const { return base_ + elements_.size(); }
+  // The index range this shard holds: [range_begin, range_end).
+  uint64_t range_begin() const { return base_; }
+  uint64_t range_end() const { return base_ + elements_.size(); }
   int64_t count() const { return static_cast<int64_t>(elements_.size()); }
   int64_t data_bytes() const { return data_bytes_; }
   bool sealed() const { return sealed_; }
@@ -96,14 +95,14 @@ class VectorShardProclet : public ProcletBase {
   }
 
   Result<T> Get(uint64_t index) const {
-    if (index < base_ || index >= end_index()) {
+    if (index < base_ || index >= range_end()) {
       return Status::OutOfRange("index not in this shard");
     }
     return elements_[static_cast<size_t>(index - base_)];
   }
 
   Status Set(uint64_t index, T value) {
-    if (index < base_ || index >= end_index()) {
+    if (index < base_ || index >= range_end()) {
       return Status::OutOfRange("index not in this shard");
     }
     const size_t slot = static_cast<size_t>(index - base_);
@@ -134,7 +133,7 @@ class VectorShardProclet : public ProcletBase {
   // Copies out up to `count` elements starting at `begin` (clamped to this
   // shard's range). Used by cross-shard reads and the prefetcher.
   Result<std::vector<T>> GetRange(uint64_t begin, uint64_t count) const {
-    if (begin < base_ || begin >= end_index()) {
+    if (begin < base_ || begin >= range_end()) {
       return Status::OutOfRange("range start not in this shard");
     }
     const size_t first = static_cast<size_t>(begin - base_);
@@ -144,87 +143,84 @@ class VectorShardProclet : public ProcletBase {
                           elements_.begin() + static_cast<ptrdiff_t>(first + n));
   }
 
-  // --- Maintenance (gate must be closed) -------------------------------------
+  // --- Split/merge hooks (gate must be closed; see sharding/reshape.h) -----
 
-  // Removes the upper half of the elements (for a split); the caller moves
-  // them into a new shard. Returns {first_moved_index, elements, bytes}.
+  // Elements [range_begin, range_end) in transit between shards. `sealed`
+  // is the donor's seal bit: a payload cut from the growing tail carries the
+  // tail role to whichever shard installs it.
   struct SplitPayload {
-    uint64_t first_index;
+    uint64_t range_begin;
+    uint64_t range_end;
+    bool sealed;
     std::vector<T> elements;
     std::vector<int64_t> element_bytes;
     int64_t total_bytes;
   };
 
-  SplitPayload ExtractUpperHalf() {
-    QS_CHECK_MSG(gate_closed(), "ExtractUpperHalf requires a closed gate");
-    const size_t keep = elements_.size() / 2;
-    SplitPayload payload;
-    payload.first_index = base_ + keep;
-    payload.total_bytes = 0;
-    payload.elements.assign(std::make_move_iterator(elements_.begin() +
-                                                    static_cast<ptrdiff_t>(keep)),
+  // The element midpoint.
+  Result<uint64_t> MedianSplitPoint() const {
+    if (count() < 2) {
+      return Status::FailedPrecondition("too few elements to split");
+    }
+    return base_ + elements_.size() / 2;
+  }
+
+  // Moves elements [split_point, range_end) into the payload. A split shard
+  // no longer grows in place.
+  SplitPayload ExtractUpperRange(uint64_t split_point) {
+    QS_CHECK_MSG(gate_closed(), "ExtractUpperRange requires a closed gate");
+    QS_CHECK(split_point >= base_ && split_point <= range_end());
+    const auto keep = static_cast<ptrdiff_t>(split_point - base_);
+    SplitPayload payload{split_point, range_end(), sealed_, {}, {}, 0};
+    payload.elements.assign(std::make_move_iterator(elements_.begin() + keep),
                             std::make_move_iterator(elements_.end()));
-    payload.element_bytes.assign(element_bytes_.begin() + static_cast<ptrdiff_t>(keep),
-                                 element_bytes_.end());
-    elements_.resize(keep);
-    element_bytes_.resize(keep);
+    payload.element_bytes.assign(element_bytes_.begin() + keep, element_bytes_.end());
+    elements_.resize(static_cast<size_t>(keep));
+    element_bytes_.resize(static_cast<size_t>(keep));
     for (int64_t b : payload.element_bytes) {
       payload.total_bytes += b;
     }
     data_bytes_ -= payload.total_bytes;
     ReleaseHeap(payload.total_bytes);
-    sealed_ = true;  // a split shard no longer grows in place
+    sealed_ = true;
     return payload;
   }
 
-  // Installs elements extracted from a donor (this shard must be empty).
-  // `seal` is false when this shard takes over the growing tail range.
-  // On failure the payload is left untouched so the caller can roll it back
-  // into the donor — losing it would lose data.
-  Status AdoptPayload(SplitPayload&& payload, bool seal = true) {
+  SplitPayload ExtractAll() { return ExtractUpperRange(base_); }
+
+  // Installs a payload into this empty shard, which takes over its range and
+  // seal bit. On failure the payload is left untouched so the caller can
+  // roll it back into the donor — losing it would lose data.
+  Status AdoptPayload(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AdoptPayload requires a closed gate");
     QS_CHECK(elements_.empty());
-    QS_CHECK(payload.first_index == base_);
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
+    base_ = payload.range_begin;
+    sealed_ = payload.sealed;
     data_bytes_ = payload.total_bytes;
     elements_ = std::move(payload.elements);
     element_bytes_ = std::move(payload.element_bytes);
-    sealed_ = seal;
     return Status::Ok();
   }
 
-  // Appends a right-neighbor's elements (for a merge). Pre: `payload` starts
-  // exactly at end_index(). On failure the payload is left untouched.
+  // Appends a right-neighbor's elements (for a merge, or a split rollback)
+  // and takes its seal bit. On failure the payload is left untouched.
   Status AbsorbRightNeighbor(SplitPayload&& payload) {
     QS_CHECK_MSG(gate_closed(), "AbsorbRightNeighbor requires a closed gate");
-    QS_CHECK(payload.first_index == end_index());
+    QS_CHECK(payload.range_begin == range_end());
     if (!TryChargeHeap(payload.total_bytes)) {
       return Status::ResourceExhausted("host machine out of memory");
     }
     data_bytes_ += payload.total_bytes;
+    sealed_ = payload.sealed;
     for (auto& e : payload.elements) {
       elements_.push_back(std::move(e));
     }
     element_bytes_.insert(element_bytes_.end(), payload.element_bytes.begin(),
                           payload.element_bytes.end());
     return Status::Ok();
-  }
-
-  // Removes everything (for the donor side of a merge).
-  SplitPayload ExtractAll() {
-    QS_CHECK_MSG(gate_closed(), "ExtractAll requires a closed gate");
-    SplitPayload payload;
-    payload.first_index = base_;
-    payload.elements = std::move(elements_);
-    payload.element_bytes = std::move(element_bytes_);
-    payload.total_bytes = data_bytes_;
-    elements_.clear();
-    element_bytes_.clear();
-    ReleaseHeap(data_bytes_);
-    data_bytes_ = 0;
-    return payload;
   }
 
   // --- Durability -----------------------------------------------------------
@@ -316,38 +312,20 @@ template <typename T>
 class ShardedVector {
  public:
   using Shard = VectorShardProclet<T>;
-
-  struct Options {
-    // Shard size cap, derived from the target migration latency (§3.3).
-    int64_t max_shard_bytes = 16 * kMiB;
-    // Initial heap charge per shard proclet (metadata).
-    int64_t shard_base_bytes = 4096;
-    // Durability (optional; not owned). When replication is set every new
-    // shard and the index get a primary-backup replica; otherwise, when
-    // checkpoints is set, they get periodic checkpoints. Either way a lost
-    // shard becomes a bounded stall (restore_stall) while the
-    // RecoveryCoordinator restores it, instead of an immediate DataLoss.
-    ReplicationManager* replication = nullptr;
-    CheckpointManager* checkpoints = nullptr;
-    Duration restore_stall = Duration::Millis(50);
-  };
+  using Options = ShardedOptions;
 
   ShardedVector() = default;
 
   static Task<Result<ShardedVector>> Create(Ctx ctx, Options options = Options{}) {
-    PlacementRequest index_req;
-    index_req.heap_bytes = options.shard_base_bytes;
-    auto create_index = ctx.rt->Create<ShardIndexProclet>(ctx, index_req);
-    Result<Ref<ShardIndexProclet>> index = co_await std::move(create_index);
-    if (!index.ok()) {
-      co_return index.status();
+    auto open = ShardClient::Create(ctx, options);
+    Result<ShardClient> client = co_await std::move(open);
+    if (!client.ok()) {
+      co_return client.status();
     }
     ShardedVector vec;
-    vec.index_ = *index;
-    vec.router_ = ShardRouter(*index);
-    vec.options_ = options;
+    vec.client_ = std::move(*client);
     Status protected_index =
-        co_await vec.template ProtectNew<ShardIndexProclet>(ctx, index->id());
+        co_await vec.client_.template ProtectNew<ShardIndexProclet>(ctx, vec.index().id());
     if (!protected_index.ok()) {
       co_return protected_index;
     }
@@ -359,147 +337,60 @@ class ShardedVector {
     co_return vec;
   }
 
-  Ref<ShardIndexProclet> index() const { return index_; }
-  ShardRouter& router() { return router_; }
-  const Options& options() const { return options_; }
+  Ref<ShardIndexProclet> index() const { return client_.index(); }
+  ShardRouter& router() { return client_.router(); }
+  const Options& options() const { return client_.options(); }
 
   // Appends an element; returns its index.
   Task<Result<uint64_t>> PushBack(Ctx ctx, T value) {
+    using AppendResult = typename Shard::AppendResult;
     const int64_t request_bytes = WireSizeOf(value);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> tail = co_await RouteTail(ctx);
-      if (!tail.ok()) {
-        co_return tail.status();
-      }
-      Ref<Shard> shard(ctx.rt, tail->proclet);
-      using AppendResult = typename Shard::AppendResult;
-      // Named task: see the GCC 12 note in sim/task.h.
-      auto call = shard.Call(
-          ctx,
-          [value](Shard& s) mutable -> Task<Result<AppendResult>> {
-            co_return s.Append(std::move(value));
-          },
-          request_bytes);
-      std::optional<Result<AppendResult>> appended;
-      bool shard_lost = false;
-      try {
-        appended.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;  // co_await is illegal in a handler; stall below
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, tail->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*tail));
-        }
+    for (int attempt = 0; attempt < ShardClient::kMaxAttempts; ++attempt) {
+      ShardInfo tail;
+      auto call = client_.template Call<Shard>(
+          ctx, kTailKey,
+          [&value](Shard& s) -> Task<Result<AppendResult>> { co_return s.Append(value); },
+          request_bytes, /*past_end_is_answer=*/false, &tail);
+      const Result<AppendResult> appended = co_await std::move(call);
+      if (appended.status().code() == StatusCode::kFailedPrecondition) {
+        // Tail sealed under us: someone is growing; refresh and retry.
+        (void)co_await client_.Refresh(ctx);
         continue;
       }
-      if (!appended->ok()) {
-        if (appended->status().code() == StatusCode::kFailedPrecondition) {
-          // Tail sealed under us: someone is growing; refresh and retry.
-          (void)co_await RefreshSafe(ctx);
-          continue;
-        }
-        co_return appended->status();
+      if (appended.status().code() == StatusCode::kOutOfRange) {
+        // Between a concurrent grower's seal and its new-tail insertion the
+        // index briefly has no tail; wait out that window.
+        co_await ctx.rt->sim().Sleep(Duration::Micros(20));
+        continue;
       }
-      if ((*appended)->shard_bytes >= options_.max_shard_bytes) {
-        Status grown = co_await GrowTail(ctx, *tail);
+      if (!appended.ok()) {
+        co_return appended.status();
+      }
+      if (appended->shard_bytes >= options().max_shard_bytes) {
+        Status grown = co_await GrowTail(ctx, tail);
         if (!grown.ok() && grown.code() != StatusCode::kFailedPrecondition) {
           co_return grown;
         }
       }
-      co_return (*appended)->index;
+      co_return appended->index;
     }
     co_return Status::Aborted("too many append retries");
   }
 
   Task<Result<T>> Get(Ctx ctx, uint64_t index) {
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, index);
-      if (!info.ok()) {
-        co_return Status::OutOfRange("index beyond vector");
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(ctx, [index](Shard& s) -> Task<Result<T>> {
-        co_return s.Get(index);
-      });
-      std::optional<Result<T>> value;
-      bool shard_lost = false;
-      try {
-        value.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (!value->ok() && value->status().code() == StatusCode::kOutOfRange) {
-        if (info->end == UINT64_MAX) {
-          // The tail said out-of-range: the index really is past the end.
-          co_return value->status();
-        }
-        router_.Invalidate();  // stale route after a split/merge
-        continue;
-      }
-      co_return std::move(*value);
-    }
-    co_return Status::Aborted("too many read retries");
+    return client_.template Call<Shard>(
+        ctx, index, [index](Shard& s) -> Task<Result<T>> { co_return s.Get(index); },
+        0, /*past_end_is_answer=*/true);
   }
 
   Task<Status> Set(Ctx ctx, uint64_t index, T value) {
     const int64_t request_bytes = WireSizeOf(value);
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, index);
-      if (!info.ok()) {
-        co_return Status::OutOfRange("index beyond vector");
-      }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      auto call = shard.Call(
-          ctx,
-          [index, value](Shard& s) mutable -> Task<Status> {
-            co_return s.Set(index, std::move(value));
-          },
-          request_bytes);
-      Status status = Status::Internal("unset");
-      bool shard_lost = false;
-      try {
-        status = co_await std::move(call);
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
-      }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        continue;
-      }
-      if (status.code() == StatusCode::kOutOfRange) {
-        if (info->end == UINT64_MAX) {
-          co_return status;  // genuinely past the end
-        }
-        router_.Invalidate();
-        continue;
-      }
-      co_return status;
-    }
-    co_return Status::Aborted("too many write retries");
+    return client_.template Call<Shard>(
+        ctx, index,
+        [index, value = std::move(value)](Shard& s) mutable -> Task<Status> {
+          co_return s.Set(index, std::move(value));
+        },
+        request_bytes, /*past_end_is_answer=*/true);
   }
 
   // Batched cross-shard read of [begin, begin+count) (clamped at the end of
@@ -508,327 +399,129 @@ class ShardedVector {
   Task<Result<std::vector<T>>> GetRange(Ctx ctx, uint64_t begin, uint64_t count) {
     std::vector<T> out;
     uint64_t cursor = begin;
-    int stale_retries = 0;
     while (count > 0) {
-      Result<ShardInfo> info = co_await RouteSafe(ctx, cursor);
-      if (!info.ok()) {
-        break;  // past the end
+      auto call = client_.template Call<Shard>(
+          ctx, cursor,
+          [cursor, count](Shard& s) -> Task<Result<std::vector<T>>> {
+            co_return s.GetRange(cursor, count);
+          },
+          0, /*past_end_is_answer=*/true);
+      Result<std::vector<T>> chunk = co_await std::move(call);
+      if (chunk.status().code() == StatusCode::kOutOfRange) {
+        break;  // reading past the live end of the vector
       }
-      Ref<Shard> shard(ctx.rt, info->proclet);
-      const uint64_t ask = count;
-      auto call = shard.Call(
-          ctx, [cursor, ask](Shard& s) -> Task<Result<std::vector<T>>> {
-            co_return s.GetRange(cursor, ask);
-          });
-      std::optional<Result<std::vector<T>>> chunk;
-      bool shard_lost = false;
-      try {
-        chunk.emplace(co_await std::move(call));
-      } catch (const ProcletGoneError&) {
-        router_.Invalidate();
-        if (++stale_retries > kMaxAttempts) {
-          co_return Status::Aborted("too many range-read retries");
-        }
-        continue;
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        shard_lost = true;
+      if (!chunk.ok()) {
+        co_return chunk.status();
       }
-      if (shard_lost) {
-        const bool restored = co_await AwaitShardRestore(ctx, info->proclet);
-        if (!restored) {
-          co_return Status::DataLoss(LostShardMessage(*info));
-        }
-        if (++stale_retries > kMaxAttempts) {
-          co_return Status::Aborted("too many range-read retries");
-        }
-        continue;
-      }
-      if (!chunk->ok()) {
-        if (chunk->status().code() == StatusCode::kOutOfRange) {
-          if (info->end == UINT64_MAX) {
-            break;  // reading past the live end of the vector
-          }
-          router_.Invalidate();
-          if (++stale_retries > kMaxAttempts) {
-            co_return Status::Aborted("too many range-read retries");
-          }
-          continue;
-        }
-        co_return chunk->status();
-      }
-      std::vector<T>& data = **chunk;
-      if (data.empty()) {
+      if (chunk->empty()) {
         break;  // tail shard has no elements at cursor yet
       }
-      cursor += data.size();
-      count -= static_cast<uint64_t>(data.size());
-      for (auto& e : data) {
+      cursor += chunk->size();
+      count -= static_cast<uint64_t>(chunk->size());
+      for (auto& e : *chunk) {
         out.push_back(std::move(e));
       }
     }
     co_return out;
   }
 
-  // Total element count (one index round trip).
+  // Total element count (one index round trip, then the tail's live end:
+  // the index's counts are advisory).
   Task<Result<uint64_t>> Size(Ctx ctx) {
-    for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-      Status refreshed = co_await RefreshSafe(ctx);
-      if (!refreshed.ok()) {
-        co_return refreshed;
-      }
-      // The index's counts are advisory; ask the tail shard for its live
-      // count.
-      uint64_t total = 0;
-      bool retry = false;
-      for (const ShardInfo& shard : router_.cached_shards()) {
-        if (shard.end != UINT64_MAX) {
-          total = std::max(total, shard.end);
-          continue;
-        }
-        Ref<Shard> tail(ctx.rt, shard.proclet);
-        auto call = tail.Call(ctx, [](Shard& s) -> Task<uint64_t> {
-          co_return s.end_index();
-        });
-        uint64_t end_index = 0;
-        bool shard_lost = false;
-        try {
-          end_index = co_await std::move(call);
-        } catch (const ProcletLostError&) {
-          router_.Invalidate();
-          shard_lost = true;
-        }
-        if (shard_lost) {
-          const bool restored = co_await AwaitShardRestore(ctx, shard.proclet);
-          if (!restored) {
-            co_return Status::DataLoss(LostShardMessage(shard));
-          }
-          retry = true;
-          break;
-        }
-        total = std::max(total, end_index);
-      }
-      if (retry) {
-        continue;
-      }
-      co_return total;
+    Status refreshed = co_await client_.Refresh(ctx);
+    if (!refreshed.ok()) {
+      co_return refreshed;
     }
-    co_return Status::Aborted("too many size retries");
+    auto call = client_.template Call<Shard>(
+        ctx, kTailKey, [](Shard& s) -> Task<uint64_t> { co_return s.range_end(); });
+    Result<uint64_t> end = co_await std::move(call);
+    if (end.status().code() != StatusCode::kOutOfRange) {
+      co_return end;
+    }
+    // No tail between a grower's seal and its new tail: the sealed shards
+    // bound the vector.
+    uint64_t total = 0;
+    for (const ShardInfo& shard : router().cached_shards()) {
+      total = std::max(total, shard.end);
+    }
+    co_return total;
+  }
+
+  // Splits `donor` at its element midpoint onto a best-fit machine and merges
+  // adjacent shards, through the reshape engine.
+  Task<Status> Split(Ctx ctx, ShardInfo donor) {
+    return client_.template Split<Shard>(ctx, donor);
+  }
+  Task<Status> Merge(Ctx ctx, ShardInfo left, ShardInfo right) {
+    return client_.template Merge<Shard>(ctx, left, right);
   }
 
  private:
-  static constexpr int kMaxAttempts = 16;
-
-  // Unrecoverable loss: report the exact index range that died with the
-  // machine instead of retrying forever.
-  static std::string LostShardMessage(const ShardInfo& info) {
-    const std::string end = info.end == UINT64_MAX ? std::string("end")
-                                                   : std::to_string(info.end);
-    return "elements [" + std::to_string(info.begin) + ", " + end +
-           ") lost to a machine failure";
-  }
-
-  // The tail is the shard whose range extends to UINT64_MAX. Between a
-  // concurrent grower's seal and its new-tail insertion the index briefly
-  // has no tail; wait out that window.
-  Task<Result<ShardInfo>> RouteTail(Ctx ctx) {
-    if (router_.cached_shards().empty()) {
-      Status refreshed = co_await RefreshSafe(ctx);
-      if (!refreshed.ok()) {
-        co_return refreshed;
-      }
-    }
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      for (const ShardInfo& shard : router_.cached_shards()) {
-        if (shard.end == UINT64_MAX) {
-          co_return shard;
-        }
-      }
-      co_await ctx.rt->sim().Sleep(Duration::Micros(20));
-      Status refreshed = co_await RefreshSafe(ctx);
-      if (!refreshed.ok()) {
-        co_return refreshed;
-      }
-    }
-    co_return Status::Internal("sharded vector has no tail shard");
-  }
+  // Routes to the tail: the shard whose range extends to UINT64_MAX.
+  static constexpr uint64_t kTailKey = UINT64_MAX - 1;
 
   // Seals `tail` and installs a fresh tail after it. Concurrent growers are
-  // resolved by the index: losers see FailedPrecondition and retry.
+  // resolved by the index: losers see FailedPrecondition (the "retry the
+  // append" signal to PushBack) and retry.
   Task<Status> GrowTail(Ctx ctx, ShardInfo tail) {
-    Ref<Shard> shard(ctx.rt, tail.proclet);
-    auto seal = shard.Call(ctx, [](Shard& s) -> Task<int64_t> { co_return s.Seal(); });
-    int64_t sealed_count = 0;
-    bool tail_lost = false;
-    try {
-      sealed_count = co_await std::move(seal);
-    } catch (const ProcletGoneError&) {
-      router_.Invalidate();
-      co_return Status::FailedPrecondition("tail vanished during grow");
-    } catch (const ProcletLostError&) {
-      router_.Invalidate();
-      tail_lost = true;
+    auto seal = client_.template CallOnce<Shard>(
+        ctx, tail, [](Shard& s) -> Task<int64_t> { co_return s.Seal(); });
+    const std::optional<Result<int64_t>> sealed = co_await std::move(seal);
+    if (!sealed.has_value()) {
+      co_return Status::FailedPrecondition("tail moved during grow; retry");
     }
-    if (tail_lost) {
-      const bool restored = co_await AwaitShardRestore(ctx, tail.proclet);
-      if (!restored) {
-        co_return Status::DataLoss(LostShardMessage(tail));
-      }
-      // FailedPrecondition is the "retry the append" signal to PushBack.
-      co_return Status::FailedPrecondition("tail restored during grow; retry");
+    if (!sealed->ok()) {
+      co_return sealed->status();  // lost with its machine
     }
-    const uint64_t boundary = tail.begin + static_cast<uint64_t>(sealed_count);
+    const uint64_t boundary = tail.begin + static_cast<uint64_t>(**sealed);
 
     // Shrink the sealed tail's range in the index.
     ShardInfo sealed_info = tail;
     sealed_info.end = boundary;
-    sealed_info.count = sealed_count;
-    auto update = index_.Call(ctx, [sealed_info](ShardIndexProclet& p) -> Task<Status> {
-      co_return p.UpdateShard(sealed_info);
+    sealed_info.count = **sealed;
+    auto update = client_.EditIndex(ctx, [tail, sealed_info](ShardIndexProclet& p) {
+      return p.Holds(tail) ? p.UpdateShard(sealed_info)
+                           : Status::FailedPrecondition("tail's index entry changed");
     });
-    Status updated = Status::Internal("unset");
-    bool index_lost = false;
-    try {
-      updated = co_await std::move(update);
-    } catch (const ProcletLostError&) {
-      router_.Invalidate();
-      index_lost = true;
-    }
-    if (index_lost) {
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-      co_return Status::FailedPrecondition("index restored during grow; retry");
+    const Status updated = co_await std::move(update);
+    if (updated.code() == StatusCode::kDataLoss) {
+      co_return updated;
     }
     if (!updated.ok()) {
-      // Another appender already grew the tail.
-      (void)co_await RefreshSafe(ctx);
+      if (updated.code() != StatusCode::kUnavailable) {
+        (void)co_await client_.Refresh(ctx);  // another appender grew the tail
+      }
       co_return Status::FailedPrecondition("tail already grown");
     }
     Status added = co_await AddTail(ctx, boundary);
-    (void)co_await RefreshSafe(ctx);
+    (void)co_await client_.Refresh(ctx);
     co_return added;
   }
 
   Task<Status> AddTail(Ctx ctx, uint64_t base) {
     PlacementRequest req;
-    req.heap_bytes = options_.shard_base_bytes;
+    req.heap_bytes = options().shard_base_bytes;
     auto create = ctx.rt->Create<Shard>(ctx, req, base);
     Result<Ref<Shard>> shard = co_await std::move(create);
     if (!shard.ok()) {
       co_return shard.status();
     }
-    ShardInfo info;
-    info.proclet = shard->id();
-    info.begin = base;
-    info.end = UINT64_MAX;
-    auto add = index_.Call(ctx, [info](ShardIndexProclet& p) -> Task<Status> {
-      co_return p.AddShard(info);
-    });
-    Status added = Status::Internal("unset");
-    bool index_lost = false;
-    try {
-      added = co_await std::move(add);
-    } catch (const ProcletLostError&) {
-      router_.Invalidate();
-      index_lost = true;
-    }
-    if (index_lost) {
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      auto destroy = ctx.rt->Destroy(ctx, shard->id());
-      (void)co_await std::move(destroy);
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-      co_return Status::FailedPrecondition("index restored mid-grow; retry");
-    }
+    const ShardInfo info{shard->id(), base, UINT64_MAX, 0, 0};
+    auto add = client_.EditIndex(
+        ctx, [info](ShardIndexProclet& p) { return p.AddShard(info); });
+    const Status added = co_await std::move(add);
     if (!added.ok()) {
-      // Lost a race: drop the orphan shard.
+      // Lost a race (or the index restarted under us): drop the orphan shard.
       auto destroy = ctx.rt->Destroy(ctx, shard->id());
       (void)co_await std::move(destroy);
-      co_return Status::FailedPrecondition("another tail was added first");
+      co_return added.code() == StatusCode::kDataLoss
+          ? added
+          : Status::FailedPrecondition("another tail was added first");
     }
-    co_return co_await ProtectNew<Shard>(ctx, shard->id());
+    co_return co_await client_.template ProtectNew<Shard>(ctx, shard->id());
   }
 
-  // --- Durability helpers ---------------------------------------------------
-
-  // Registers a freshly created proclet with the configured durability
-  // service (replication preferred over checkpoints when both are set).
-  template <typename P>
-  Task<Status> ProtectNew(Ctx ctx, ProcletId id) {
-    if (options_.replication != nullptr) {
-      co_return co_await options_.replication->template ReplicateAs<P>(ctx, id);
-    }
-    if (options_.checkpoints != nullptr) {
-      co_return co_await options_.checkpoints->template ProtectAs<P>(ctx, id);
-    }
-    co_return Status::Ok();
-  }
-
-  // Bounded stall while the recovery subsystem restores a lost proclet;
-  // false when recovery is off or the deadline passes (the caller reports
-  // DataLoss exactly as before the durability subsystem existed).
-  Task<bool> AwaitShardRestore(Ctx ctx, ProcletId id) {
-    if (!ctx.rt->recovery_enabled()) {
-      co_return false;
-    }
-    co_return co_await ctx.rt->AwaitRestore(id, options_.restore_stall);
-  }
-
-  // Router refresh that survives a lost index proclet: stalls for the
-  // restore, then re-pulls. DataLoss only when recovery cannot bring the
-  // index back.
-  Task<Status> RefreshSafe(Ctx ctx) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      bool index_lost = false;
-      try {
-        co_await router_.Refresh(ctx);
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return Status::Ok();
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many index refresh retries");
-  }
-
-  // Route through the cache with the same index-loss handling.
-  Task<Result<ShardInfo>> RouteSafe(Ctx ctx, uint64_t key) {
-    for (int i = 0; i < kMaxAttempts; ++i) {
-      std::optional<Result<ShardInfo>> routed;
-      bool index_lost = false;
-      try {
-        routed.emplace(co_await router_.Route(ctx, key));
-      } catch (const ProcletGoneError&) {
-        co_return Status::NotFound("shard index destroyed");
-      } catch (const ProcletLostError&) {
-        router_.Invalidate();
-        index_lost = true;
-      }
-      if (!index_lost) {
-        co_return std::move(*routed);
-      }
-      const bool restored = co_await AwaitShardRestore(ctx, index_.id());
-      if (!restored) {
-        co_return Status::DataLoss("shard index lost to a machine failure");
-      }
-    }
-    co_return Status::Aborted("too many route retries");
-  }
-
-  Ref<ShardIndexProclet> index_;
-  ShardRouter router_;
-  Options options_;
+  ShardClient client_;
 };
 
 }  // namespace quicksand

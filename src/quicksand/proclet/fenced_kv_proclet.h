@@ -21,7 +21,7 @@
 // so a client racing a split/merge re-routes instead of writing into the
 // wrong shard. ExtractUpperRange / ExtractAll / AdoptPayload /
 // AbsorbRightNeighbor are the data-structure-specific split/merge hooks
-// the autoscaler's reshape executor drives; the payload carries the
+// the shared reshape engine (sharding/reshape.h) drives; the payload carries the
 // donor's full FenceGuard so dedup knowledge survives reshaping (a retry
 // of an acked-but-lost-ack write must dedup on whichever shard owns the
 // key NOW).
@@ -160,6 +160,8 @@ class FencedKvProclet : public ProcletBase {
   const FenceGuard& guard() const { return guard_; }
   uint64_t hash_begin() const { return hash_begin_; }
   uint64_t hash_end() const { return hash_end_; }
+  uint64_t range_begin() const { return hash_begin_; }
+  uint64_t range_end() const { return hash_end_; }
 
   // Wire size of the shard's contents — what a whole-shard move must copy.
   int64_t data_bytes() const {
@@ -174,7 +176,7 @@ class FencedKvProclet : public ProcletBase {
   // the payload carries a full COPY of the dedup state. The released heap is
   // credited back here; AdoptPayload charges it at the destination.
   SplitPayload ExtractUpperRange(uint64_t split_point) {
-    QS_CHECK(split_point > hash_begin_ && split_point < hash_end_);
+    QS_CHECK(split_point >= hash_begin_ && split_point <= hash_end_);
     SplitPayload out;
     out.range_begin = split_point;
     out.range_end = hash_end_;
@@ -203,23 +205,7 @@ class FencedKvProclet : public ProcletBase {
 
   // Empties the shard entirely (merge donor): the range collapses to empty
   // so a racing request re-routes rather than resurrecting entries here.
-  SplitPayload ExtractAll() {
-    SplitPayload out;
-    out.range_begin = hash_begin_;
-    out.range_end = hash_end_;
-    out.kv = std::move(kv_);
-    out.applies = std::move(applies_);
-    out.guard = guard_;
-    kv_.clear();
-    applies_.clear();
-    hash_end_ = hash_begin_;
-    const int64_t entry_bytes =
-        static_cast<int64_t>(out.kv.size()) * kEntryBytes;
-    ReleaseHeap(entry_bytes);
-    out.total_bytes = entry_bytes + static_cast<int64_t>(
-        out.guard.executed_count()) * kGuardEntryBytes;
-    return out;
-  }
+  SplitPayload ExtractAll() { return ExtractUpperRange(hash_begin_); }
 
   // Installs a payload into a fresh shard (or restores one during a merge
   // rollback): takes ownership of exactly the payload's range. Fails without

@@ -11,7 +11,9 @@
 #ifndef QUICKSAND_SHARDING_SHARD_INDEX_H_
 #define QUICKSAND_SHARDING_SHARD_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -60,6 +62,16 @@ class ShardIndexProclet : public ProcletBase {
       return Status::NotFound("key in a gap between shards");
     }
     return it->second;
+  }
+
+  // True when the index maps exactly [info.begin, info.end) to
+  // info.proclet. A reshape planned from a snapshot checks its shards with
+  // this before editing, so a stale plan fails whole instead of leaving a
+  // hole or an overlap.
+  bool Holds(const ShardInfo& info) const {
+    auto it = shards_.find(info.begin);
+    return it != shards_.end() && it->second.proclet == info.proclet &&
+           it->second.end == info.end;
   }
 
   Status AddShard(const ShardInfo& info) {
@@ -125,20 +137,6 @@ class ShardIndexProclet : public ProcletBase {
     return Status::Ok();
   }
 
-  // The neighbor immediately after `proclet`'s range (for merges).
-  Result<ShardInfo> NextNeighbor(ProcletId proclet) const {
-    for (auto it = shards_.begin(); it != shards_.end(); ++it) {
-      if (it->second.proclet == proclet) {
-        auto next = std::next(it);
-        if (next == shards_.end()) {
-          return Status::NotFound("no next neighbor");
-        }
-        return next->second;
-      }
-    }
-    return Status::NotFound("no shard with that proclet id");
-  }
-
   // --- Durability -----------------------------------------------------------
 
   std::optional<StateImage> CaptureState() const override {
@@ -183,20 +181,19 @@ class ShardRouter {
   explicit ShardRouter(Ref<ShardIndexProclet> index) : index_(index) {}
 
   Ref<ShardIndexProclet> index() const { return index_; }
-  uint64_t cached_version() const { return version_; }
   const std::vector<ShardInfo>& cached_shards() const { return cache_; }
 
-  // Routes a key through the cache, fetching the index on first use.
-  Task<Result<ShardInfo>> Route(Ctx ctx, uint64_t key) {
-    if (cache_.empty()) {
-      co_await Refresh(ctx);
+  // The cached entry covering `key`, without touching the index (when to
+  // refresh is the client's policy: ShardClient::Route).
+  Result<ShardInfo> Lookup(uint64_t key) const {
+    // The cache is a snapshot of the index's begin-ordered map.
+    auto next = std::upper_bound(
+        cache_.begin(), cache_.end(), key,
+        [](uint64_t k, const ShardInfo& shard) { return k < shard.begin; });
+    if (next == cache_.begin() || key >= std::prev(next)->end) {
+      return Status::OutOfRange("no cached shard covers key");
     }
-    Result<ShardInfo> hit = LookupCached(key);
-    if (hit.ok()) {
-      co_return hit;
-    }
-    co_await Refresh(ctx);
-    co_return LookupCached(key);
+    return *std::prev(next);
   }
 
   // Pulls a fresh snapshot from the index proclet.
@@ -205,28 +202,14 @@ class ShardRouter {
         ctx, [](ShardIndexProclet& p) -> Task<std::pair<uint64_t, std::vector<ShardInfo>>> {
           co_return p.Snapshot();
         });
-    auto [version, shards] = co_await std::move(call);
-    version_ = version;
-    cache_ = std::move(shards);
+    auto snapshot = co_await std::move(call);  // the version rides along unused
+    cache_ = std::move(snapshot.second);
   }
 
-  void Invalidate() {
-    cache_.clear();
-    version_ = 0;
-  }
+  void Invalidate() { cache_.clear(); }
 
  private:
-  Result<ShardInfo> LookupCached(uint64_t key) const {
-    for (const ShardInfo& shard : cache_) {
-      if (key >= shard.begin && key < shard.end) {
-        return shard;
-      }
-    }
-    return Status::NotFound("no cached shard covers key");
-  }
-
   Ref<ShardIndexProclet> index_;
-  uint64_t version_ = 0;
   std::vector<ShardInfo> cache_;
 };
 

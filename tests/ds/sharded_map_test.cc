@@ -121,6 +121,31 @@ TEST(ShardedMapTest, IntKeysWork) {
   EXPECT_EQ(*f.sim.BlockOn(map.Get(f.ctx(), 42)), "answer");
 }
 
+TEST(ShardedMapTest, KeysProjectingToTheTopOfTheSpaceRoute) {
+  // std::hash<int>(-1) and std::hash<uint64_t>(UINT64_MAX) are UINT64_MAX
+  // itself, one past every half-open shard range; such keys must still have
+  // an owner, before and after a split.
+  Fixture f;
+  auto ints = *f.sim.BlockOn(ShardedMap<int, int64_t>::Create(f.ctx()));
+  for (int key = -2; key < 10; ++key) {
+    ASSERT_TRUE(f.sim.BlockOn(ints.Put(f.ctx(), key, key * 10)).ok()) << key;
+  }
+  EXPECT_EQ(*f.sim.BlockOn(ints.Get(f.ctx(), -1)), -10);
+  f.sim.BlockOn(ints.router().Refresh(f.ctx()));
+  ASSERT_TRUE(
+      f.sim.BlockOn(ints.Split(f.ctx(), ints.router().cached_shards()[0])).ok());
+  EXPECT_EQ(*f.sim.BlockOn(ints.Size(f.ctx())), 12);
+  for (int key = -2; key < 10; ++key) {
+    EXPECT_EQ(*f.sim.BlockOn(ints.Get(f.ctx(), key)), key * 10) << key;
+  }
+
+  auto wide = *f.sim.BlockOn(ShardedMap<uint64_t, int64_t>::Create(f.ctx()));
+  EXPECT_TRUE(f.sim.BlockOn(wide.Put(f.ctx(), UINT64_MAX, 1)).ok());
+  EXPECT_TRUE(f.sim.BlockOn(wide.Put(f.ctx(), UINT64_MAX - 1, 2)).ok());
+  EXPECT_EQ(*f.sim.BlockOn(wide.Get(f.ctx(), UINT64_MAX)), 1);
+  EXPECT_EQ(*f.sim.BlockOn(wide.Get(f.ctx(), UINT64_MAX - 1)), 2);
+}
+
 TEST(ShardedMapTest, EntriesSurviveShardMigration) {
   Fixture f;
   StrMap map = f.sim.BlockOn(MakeMap(f.ctx()));

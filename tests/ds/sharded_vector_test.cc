@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "quicksand/common/bytes.h"
 
 namespace quicksand {
@@ -92,6 +94,42 @@ TEST(ShardedVectorTest, GrowsIntoMultipleShards) {
     EXPECT_EQ(*f.sim.BlockOn(vec.Get(f.ctx(), i)), static_cast<int64_t>(i));
   }
   EXPECT_EQ(*f.sim.BlockOn(vec.Size(f.ctx())), 200u);
+}
+
+// A split or merge planned from an index snapshot taken before the tail grew
+// fails whole: the index keeps partitioning the space and every element
+// stays readable.
+TEST(ShardedVectorTest, ReshapeFromSnapshotBeforeTailGrowthRollsBack) {
+  Fixture f;
+  IntVector::Options options;
+  options.max_shard_bytes = 256;  // 32 int64s per shard
+  IntVector vec = f.sim.BlockOn(MakeVector(f.ctx(), options));
+  f.sim.BlockOn(PushN(vec, f.ctx(), 40));  // [0, 32) sealed, [32, end) tail
+  f.sim.BlockOn(vec.router().Refresh(f.ctx()));
+  const std::vector<ShardInfo> stale = vec.router().cached_shards();
+  ASSERT_EQ(stale.size(), 2u);
+  ASSERT_EQ(stale[1].end, UINT64_MAX);
+  f.sim.BlockOn(PushN(vec, f.ctx(), 32, 40));  // [32, 64) sealed, [64, end) tail
+
+  EXPECT_EQ(f.sim.BlockOn(vec.Split(f.ctx(), stale[1])).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(f.sim.BlockOn(vec.Merge(f.ctx(), stale[0], stale[1])).code(),
+            StatusCode::kFailedPrecondition);
+
+  f.sim.BlockOn(vec.router().Refresh(f.ctx()));
+  const std::vector<ShardInfo> shards = vec.router().cached_shards();
+  ASSERT_EQ(shards.size(), 3u);
+  EXPECT_EQ(shards.front().begin, 0u);
+  for (size_t i = 0; i + 1 < shards.size(); ++i) {
+    EXPECT_EQ(shards[i].end, shards[i + 1].begin);
+  }
+  EXPECT_EQ(shards.back().end, UINT64_MAX);
+  for (uint64_t i = 0; i < 72; ++i) {
+    Result<int64_t> v = f.sim.BlockOn(vec.Get(f.ctx(), i));
+    ASSERT_TRUE(v.ok()) << i << ": " << v.status().ToString();
+    EXPECT_EQ(*v, static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(*f.sim.BlockOn(vec.Size(f.ctx())), 72u);
 }
 
 TEST(ShardedVectorTest, ShardsSpreadAcrossMachines) {

@@ -16,11 +16,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "quicksand/cluster/fault_injector.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/common/random.h"
+#include "quicksand/ds/sharded_map.h"
+#include "quicksand/ds/sharded_vector.h"
 #include "quicksand/serving/kv_frontend.h"
 
 namespace quicksand {
@@ -259,6 +263,116 @@ TEST(ReshapeCrashSafetyTest, TargetCrashMidCopyRollsBackEveryAckedWrite) {
     }
     EXPECT_EQ(owners, 1) << "key " << k;
   }
+}
+
+// The index-routed structures take the same crash through the same reshape
+// engine. Each adapter stores element i as value 10*i and reads every stored
+// value back.
+using IntVector = ShardedVector<int64_t>;
+using IntMap = ShardedMap<int64_t, int64_t>;
+
+Task<Status> Store(IntVector& vec, Ctx ctx, int64_t i) {
+  auto push = vec.PushBack(ctx, 10 * i);
+  const Result<uint64_t> index = co_await std::move(push);
+  co_return index.status();
+}
+Task<Status> Store(IntMap& map, Ctx ctx, int64_t i) { return map.Put(ctx, i, 10 * i); }
+
+Task<Result<std::vector<int64_t>>> LoadAll(IntVector& vec, Ctx ctx) {
+  return vec.GetRange(ctx, 0, 1000);
+}
+Task<Result<std::vector<int64_t>>> LoadAll(IntMap& map, Ctx ctx) {
+  auto scan = map.Items(ctx);
+  const Result<std::vector<std::pair<int64_t, int64_t>>> items = co_await std::move(scan);
+  if (!items.ok()) {
+    co_return items.status();
+  }
+  std::vector<int64_t> values;
+  for (const auto& [key, value] : *items) {
+    values.push_back(value);
+  }
+  co_return values;
+}
+
+template <typename Sharded>
+Task<> DoDsSplit(Sharded& ds, Ctx ctx, ShardInfo donor, Status* out) {
+  auto split = ds.Split(ctx, donor);
+  *out = co_await std::move(split);
+}
+
+// One shard of 40 acked elements splits toward a host holding neither the
+// shard nor the index (best fit picks it once the other hosts' free memory
+// is charged away); a delay spike keeps the copy in flight when that host
+// crashes ~1ms in.
+template <typename Sharded>
+void ExpectDsSplitSurvivesTargetCrash() {
+  constexpr int64_t kElements = 40;
+  Fixture f;
+  FaultInjector faults(f.sim, f.cluster);
+  f.rt->AttachFaultInjector(faults);
+  const Ctx ctx = f.rt->CtxOn(0);
+  Sharded ds = *f.sim.BlockOn(Sharded::Create(ctx));
+  for (int64_t i = 0; i < kElements; ++i) {
+    ASSERT_TRUE(f.sim.BlockOn(Store(ds, ctx, i)).ok());
+  }
+  f.sim.BlockOn(ds.router().Refresh(ctx));
+  ASSERT_EQ(ds.router().cached_shards().size(), 1u);
+  const ShardInfo donor = ds.router().cached_shards()[0];
+  const MachineId donor_machine = f.rt->LocationOf(donor.proclet);
+  MachineId target = kInvalidMachineId;
+  for (MachineId m = 1; m < f.cluster.size() && target == kInvalidMachineId; ++m) {
+    if (m != donor_machine && m != f.rt->LocationOf(ds.index().id())) {
+      target = m;
+    }
+  }
+  ASSERT_NE(target, kInvalidMachineId);
+  for (MachineId m = 0; m < f.cluster.size(); ++m) {
+    if (m != target) {
+      ASSERT_TRUE(f.cluster.machine(m).memory().TryCharge(1_GiB));
+    }
+  }
+  faults.ScheduleDelaySpike(f.sim.Now(), donor_machine, target,
+                            /*extra=*/Duration::Millis(5),
+                            /*duration=*/Duration::Millis(20));
+
+  Status split_status = Status::Ok();
+  f.sim.Spawn(DoDsSplit(ds, ctx, donor, &split_status), "racing_split");
+  f.sim.RunFor(Duration::Millis(1));  // gate + extract done, copy in flight
+  faults.FailNow(target);
+  f.sim.RunFor(Duration::Millis(40));
+
+  // The split failed at the copy (so best fit did pick the crashed host) and
+  // the range rolled back into the donor.
+  EXPECT_EQ(split_status.code(), StatusCode::kUnavailable) << split_status.ToString();
+  EXPECT_FALSE(f.rt->IsLost(donor.proclet));
+  // Every acked element is readable, exactly once.
+  const Result<std::vector<int64_t>> loaded = f.sim.BlockOn(LoadAll(ds, ctx));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::vector<int64_t> values = *loaded;
+  std::sort(values.begin(), values.end());
+  ASSERT_EQ(values.size(), static_cast<size_t>(kElements));
+  for (int64_t i = 0; i < kElements; ++i) {
+    EXPECT_EQ(values[static_cast<size_t>(i)], 10 * i);
+  }
+  // The index still partitions the key space, and the structure still takes
+  // writes (a vector's donor is still its growing tail).
+  f.sim.BlockOn(ds.router().Refresh(ctx));
+  const std::vector<ShardInfo> shards = ds.router().cached_shards();
+  ASSERT_FALSE(shards.empty());
+  EXPECT_EQ(shards.front().begin, 0u);
+  EXPECT_EQ(shards.back().end, UINT64_MAX);
+  for (size_t i = 0; i + 1 < shards.size(); ++i) {
+    EXPECT_EQ(shards[i].end, shards[i + 1].begin);
+  }
+  EXPECT_TRUE(f.sim.BlockOn(Store(ds, ctx, kElements)).ok());
+}
+
+TEST(ReshapeCrashSafetyTest, VectorTargetCrashMidCopyRollsBackEveryAckedElement) {
+  ExpectDsSplitSurvivesTargetCrash<IntVector>();
+}
+
+TEST(ReshapeCrashSafetyTest, MapTargetCrashMidCopyRollsBackEveryAckedEntry) {
+  ExpectDsSplitSurvivesTargetCrash<IntMap>();
 }
 
 TEST(ReshapeCrashSafetyTest, DonorCrashMidCopyDiscardsOrphanAndRepairs) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "quicksand/common/bytes.h"
+#include "quicksand/sharding/shard_client.h"
 
 namespace quicksand {
 namespace {
@@ -116,13 +117,14 @@ TEST(ShardIndexTest, VersionBumpsOnMutation) {
   EXPECT_GT(index->version(), v1);
 }
 
-TEST(ShardIndexTest, NextNeighbor) {
+TEST(ShardIndexTest, HoldsOnlyTheExactEntry) {
   Fixture f;
   auto* index = f.Get(f.MakeIndex());
   EXPECT_TRUE(index->AddShard(Info(10, 0, 100)).ok());
-  EXPECT_TRUE(index->AddShard(Info(11, 100, 200)).ok());
-  EXPECT_EQ(index->NextNeighbor(10)->proclet, 11u);
-  EXPECT_EQ(index->NextNeighbor(11).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(index->Holds(Info(10, 0, 100)));
+  EXPECT_FALSE(index->Holds(Info(10, 0, 50)));    // stale end
+  EXPECT_FALSE(index->Holds(Info(10, 50, 100)));  // not an entry's begin
+  EXPECT_FALSE(index->Holds(Info(11, 0, 100)));   // another proclet
 }
 
 TEST(ShardRouterTest, CachesAndRefreshes) {
@@ -133,16 +135,20 @@ TEST(ShardRouterTest, CachesAndRefreshes) {
 
   ShardRouter router(ref);
   const Ctx ctx = f.rt->CtxOn(0);
-  Result<ShardInfo> hit = f.sim.BlockOn(router.Route(ctx, 50));
+  EXPECT_EQ(router.Lookup(50).status().code(), StatusCode::kOutOfRange);
+  f.sim.BlockOn(router.Refresh(ctx));
+  Result<ShardInfo> hit = router.Lookup(50);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(hit->proclet, 10u);
 
   // Mutate behind the router's back; the cache still answers for old keys,
-  // and a missing key triggers a refresh that picks up the change.
+  // misses the new one until a refresh picks up the change.
   EXPECT_TRUE(index->AddShard(Info(11, 100, 200)).ok());
-  Result<ShardInfo> miss = f.sim.BlockOn(router.Route(ctx, 150));
-  ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(miss->proclet, 11u);
+  EXPECT_EQ(router.Lookup(50)->proclet, 10u);
+  EXPECT_EQ(router.Lookup(150).status().code(), StatusCode::kOutOfRange);
+  f.sim.BlockOn(router.Refresh(ctx));
+  EXPECT_EQ(router.Lookup(150)->proclet, 11u);
+  EXPECT_EQ(router.Lookup(200).status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(ShardRouterTest, InvalidateForcesRefetch) {
@@ -152,11 +158,39 @@ TEST(ShardRouterTest, InvalidateForcesRefetch) {
   EXPECT_TRUE(index->AddShard(Info(10, 0, 100)).ok());
   ShardRouter router(ref);
   const Ctx ctx = f.rt->CtxOn(0);
-  ASSERT_TRUE(f.sim.BlockOn(router.Route(ctx, 50)).ok());
+  f.sim.BlockOn(router.Refresh(ctx));
+  ASSERT_TRUE(router.Lookup(50).ok());
   EXPECT_TRUE(index->RemoveShard(10).ok());
   EXPECT_TRUE(index->AddShard(Info(20, 0, 100)).ok());
   router.Invalidate();
-  EXPECT_EQ(f.sim.BlockOn(router.Route(ctx, 50))->proclet, 20u);
+  EXPECT_TRUE(router.cached_shards().empty());
+  f.sim.BlockOn(router.Refresh(ctx));
+  EXPECT_EQ(router.Lookup(50)->proclet, 20u);
+}
+
+TEST(ShardClientTest, RouteRefreshesToFindNewShards) {
+  Fixture f;
+  const Ctx ctx = f.rt->CtxOn(0);
+  ShardClient client = *f.sim.BlockOn(ShardClient::Create(ctx, ShardedOptions{}));
+  auto* index = f.Get(client.index());
+  EXPECT_TRUE(index->AddShard(Info(10, 0, 100)).ok());
+
+  // An empty cache: Route pulls the index and hits.
+  EXPECT_EQ(client.router().Lookup(50).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(f.sim.BlockOn(client.Route(ctx, 50))->proclet, 10u);
+
+  // A shard added behind the client's back: the cache misses, Route finds it.
+  EXPECT_TRUE(index->AddShard(Info(11, 100, 200)).ok());
+  EXPECT_EQ(client.router().Lookup(150).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(f.sim.BlockOn(client.Route(ctx, 150))->proclet, 11u);
+  EXPECT_EQ(f.sim.BlockOn(client.Route(ctx, 200)).status().code(),
+            StatusCode::kOutOfRange);
+
+  // A replaced shard: after Invalidate, Route returns the replacement.
+  EXPECT_TRUE(index->RemoveShard(10).ok());
+  EXPECT_TRUE(index->AddShard(Info(20, 0, 100)).ok());
+  client.router().Invalidate();
+  EXPECT_EQ(f.sim.BlockOn(client.Route(ctx, 50))->proclet, 20u);
 }
 
 }  // namespace
