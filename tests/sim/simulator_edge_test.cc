@@ -110,6 +110,24 @@ TEST(SimulatorEdgeTest, RunForZeroAdvancesNothing) {
   EXPECT_EQ(sim.Now(), SimTime::Zero());
 }
 
+TEST(SimulatorEdgeTest, RunUntilStopsAtDeadlineAfterCancelledHead) {
+  // The queue head is cancelled and lies before the deadline; the next live
+  // event lies after it. Skipping the head must not fire that event.
+  Simulator sim;
+  bool a_fired = false;
+  bool b_fired = false;
+  const EventId a = sim.Schedule(5_us, [&] { a_fired = true; });
+  sim.Schedule(10_us, [&] { b_fired = true; });
+  sim.Cancel(a);
+  sim.RunUntil(SimTime::Zero() + 7_us);
+  EXPECT_FALSE(a_fired);
+  EXPECT_FALSE(b_fired);
+  EXPECT_EQ(sim.Now(), SimTime::Zero() + 7_us);
+  EXPECT_EQ(sim.pending_event_count(), 1u);
+  sim.RunUntil(SimTime::Zero() + 10_us);
+  EXPECT_TRUE(b_fired);
+}
+
 TEST(SimulatorEdgeTest, PendingEventCountSurvivesCancelFireRecancel) {
   Simulator sim;
   const EventId a = sim.Schedule(1_ms, [] {});
