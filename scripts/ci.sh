@@ -2,8 +2,9 @@
 # CI entry point: tier-1 tests (plain + ASan/UBSan via scripts/check.sh) and
 # the smoke gates (durability, trace determinism, partition failover,
 # overload control, autoscale, chaos, memoization), each of which fails on
-# nondeterminism between two same-seed runs, plus the split/merge gate: ab3
-# must reproduce the committed results/BENCH_ab3.json byte for byte.
+# nondeterminism between two same-seed runs, plus two byte-for-byte gates:
+# ab3 must reproduce the committed results/BENCH_ab3.json, and fig1/fig2
+# (the cpu-quantum-heavy figures) their committed stdout in results/.
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -60,6 +61,14 @@ mkdir -p "$ab3_dir/results"
 (cd "$ab3_dir" && "$OLDPWD/build/bench/ab3_split_merge" >/dev/null)
 cmp "$ab3_dir/results/BENCH_ab3.json" results/BENCH_ab3.json
 rm -rf "$ab3_dir"
+
+echo "== cpu-slice gate: fig1 and fig2 reproduce their committed output byte for byte =="
+fig_dir="$(mktemp -d)"
+for fig in fig1_filler_migration fig2_imbalanced_pipeline; do
+  (cd "$fig_dir" && "$OLDPWD/build/bench/$fig" >"$fig.txt")
+  cmp "$fig_dir/$fig.txt" "results/$fig.txt"
+done
+rm -rf "$fig_dir"
 
 echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
 ./build/bench/scale_sim --smoke
