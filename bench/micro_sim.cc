@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "quicksand/common/bytes.h"
-#include "quicksand/net/rpc.h"
 #include "quicksand/proclet/memory_proclet.h"
 #include "quicksand/sim/channel.h"
 #include "quicksand/sim/simulator.h"

@@ -5,6 +5,8 @@
 # nondeterminism between two same-seed runs, plus two byte-for-byte gates:
 # ab3 must reproduce the committed results/BENCH_ab3.json, and fig1/fig2
 # (the cpu-quantum-heavy figures) their committed stdout in results/.
+# Every bench step runs in a scratch working directory with its own
+# results/, so the records the benches write never touch the committed ones.
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -16,12 +18,19 @@ cd "$(dirname "$0")/.."
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+work_dir="$(mktemp -d)"
+trap 'rm -rf "$work_dir"' EXIT
+mkdir -p "$work_dir/results"
+repo_dir="$PWD"
+# Runs a bench binary (path relative to the repo root) from $work_dir.
+bench() { (cd "$work_dir" && "$repo_dir/$1" "${@:2}"); }
+
 if [[ "${1:-}" == "--soak" ]]; then
   seeds="${2:-50}"
   echo "== chaos soak: $seeds seeded schedules vs the invariant oracles =="
   cmake -B build -S . >/dev/null
   cmake --build build -j"$jobs" --target ab11_chaos
-  ./build/bench/ab11_chaos --seeds "$seeds"
+  bench build/bench/ab11_chaos --seeds "$seeds"
   echo "chaos soak: all $seeds schedules passed the oracles"
   exit 0
 fi
@@ -35,48 +44,43 @@ echo "== tier-1: ASan/UBSan build + ctest =="
 scripts/check.sh --sanitize-only
 
 echo "== durability smoke: two same-seed recovery runs must be bit-identical =="
-./build/bench/ab7_recovery --smoke
+bench build/bench/ab7_recovery --smoke
 
 echo "== trace smoke: same-seed migration runs must agree on the trace digest =="
-./build/bench/ab1_migration_latency --smoke
+bench build/bench/ab1_migration_latency --smoke
 
 echo "== partition smoke: gray-failure failover must be deterministic and exactly-once =="
-./build/bench/ab8_partition --smoke
+bench build/bench/ab8_partition --smoke
 
 echo "== overload smoke: collapse without controls, plateau with, deterministically =="
-./build/bench/ab9_overload --smoke
+bench build/bench/ab9_overload --smoke
 
 echo "== autoscale smoke: hot shard splits, settle p99 inside SLO, deterministically =="
-./build/bench/ab10_autoscale --smoke
+bench build/bench/ab10_autoscale --smoke
 
 echo "== chaos smoke: fixed schedule corpus survives; the reintroduced reshape bug is caught and shrunk =="
-./build/bench/ab11_chaos --smoke
+bench build/bench/ab11_chaos --smoke
 
 echo "== memo smoke: hit-rate, cache-first harvest and stale-serve gates, deterministically =="
-./build/bench/ab12_memo --smoke
+bench build/bench/ab12_memo --smoke
 
 echo "== split/merge gate: ab3 reproduces the committed split/merge cost record byte for byte =="
-ab3_dir="$(mktemp -d)"
-mkdir -p "$ab3_dir/results"
-(cd "$ab3_dir" && "$OLDPWD/build/bench/ab3_split_merge" >/dev/null)
-cmp "$ab3_dir/results/BENCH_ab3.json" results/BENCH_ab3.json
-rm -rf "$ab3_dir"
+bench build/bench/ab3_split_merge >/dev/null
+cmp "$work_dir/results/BENCH_ab3.json" results/BENCH_ab3.json
 
 echo "== cpu-slice gate: fig1 and fig2 reproduce their committed output byte for byte =="
-fig_dir="$(mktemp -d)"
 for fig in fig1_filler_migration fig2_imbalanced_pipeline; do
-  (cd "$fig_dir" && "$OLDPWD/build/bench/$fig" >"$fig.txt")
-  cmp "$fig_dir/$fig.txt" "results/$fig.txt"
+  bench "build/bench/$fig" >"$work_dir/$fig.txt"
+  cmp "$work_dir/$fig.txt" "results/$fig.txt"
 done
-rm -rf "$fig_dir"
 
 echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
-./build/bench/scale_sim --smoke
+bench build/bench/scale_sim --smoke
 
 echo "== chaos smoke (sanitized): same gate under ASan/UBSan =="
-./build-asan/bench/ab11_chaos --smoke
+bench build-asan/bench/ab11_chaos --smoke
 
 echo "== memo smoke (sanitized): same gate under ASan/UBSan =="
-./build-asan/bench/ab12_memo --smoke
+bench build-asan/bench/ab12_memo --smoke
 
 echo "CI: all gates passed"

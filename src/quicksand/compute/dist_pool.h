@@ -2,9 +2,8 @@
 //
 // A pool is a set of compute proclets ("the underlying threads are sharded
 // across compute proclets"). Submitting work picks the least-backlogged
-// member; the adaptive controller grows the pool by splitting an overloaded
-// member's queue into a new proclet and shrinks it by merging an idle
-// member's queue into a sibling (§3.3).
+// member; Grow adds a member, and RecoverLost replaces members lost to a
+// machine crash.
 //
 // Pool membership lives in plain client/controller state (not a proclet):
 // the authoritative structure is the set of compute proclets themselves,
@@ -44,8 +43,8 @@ class DistPool {
     int64_t bytes = 0;
   };
 
-  // State shared between handle copies (pool membership changes as the
-  // adaptive controller splits/merges).
+  // State shared between handle copies (pool membership changes as members
+  // are grown, lost and replaced).
   struct State {
     Options options;
     std::vector<Ref<ComputeProclet>> members;
@@ -211,8 +210,8 @@ class DistPool {
     co_return replaced;
   }
 
-  // Total queued-but-not-started jobs across members (runtime introspection,
-  // used by the adaptive controller and by Drain).
+  // Queued plus running jobs across members (runtime introspection, used by
+  // Drain).
   int64_t Backlog(Runtime& rt) const {
     int64_t total = 0;
     for (const Ref<ComputeProclet>& member : state_->members) {
@@ -233,71 +232,6 @@ class DistPool {
     }
   }
 
-  // The §3.3 compute split: the most-backlogged member donates half of its
-  // task queue to a freshly placed member. Returns the new member's ref.
-  Task<Result<Ref<ComputeProclet>>> SplitBusiest(Ctx ctx) {
-    Runtime& rt = *ctx.rt;
-    // Pick the member with the deepest queue.
-    Ref<ComputeProclet> donor;
-    int64_t deepest = -1;
-    for (const Ref<ComputeProclet>& member : state_->members) {
-      if (auto* p = rt.UnsafeGet<ComputeProclet>(member.id())) {
-        if (p->queue_depth() > deepest) {
-          deepest = p->queue_depth();
-          donor = member;
-        }
-      }
-    }
-    if (deepest < 2) {
-      co_return Status::FailedPrecondition("no member has a queue worth splitting");
-    }
-    Status grown = co_await Grow(ctx);
-    if (!grown.ok()) {
-      co_return grown;
-    }
-    const Ref<ComputeProclet> fresh = state_->members.back();
-    auto begin_donor = ctx.rt->BeginMaintenance(donor.id());
-    Status s = co_await std::move(begin_donor);
-    if (!s.ok()) {
-      co_return s;
-    }
-    auto begin_fresh = ctx.rt->BeginMaintenance(fresh.id());
-    s = co_await std::move(begin_fresh);
-    if (!s.ok()) {
-      rt.EndMaintenance(donor.id());
-      co_return s;
-    }
-    auto* dp = rt.UnsafeGet<ComputeProclet>(donor.id());
-    auto* fp = rt.UnsafeGet<ComputeProclet>(fresh.id());
-    if (dp == nullptr || fp == nullptr) {
-      // Donor or fresh member lost to a machine failure while we were
-      // acquiring the gates (EndMaintenance tolerates lost proclets).
-      rt.EndMaintenance(fresh.id());
-      rt.EndMaintenance(donor.id());
-      RemoveLostMembers(rt);
-      co_return Status::DataLoss("pool member lost during split");
-    }
-    auto jobs = dp->StealHalfOfQueue();
-    int64_t moved_bytes = 0;
-    for (const auto& [fn, bytes] : jobs) {
-      moved_bytes += bytes;
-    }
-    auto transfer =
-        rt.fabric().Transfer(donor.Location(), fresh.Location(), moved_bytes);
-    co_await std::move(transfer);
-    Status injected = fp->InjectJobs(std::move(jobs));
-    if (!injected.ok()) {
-      // Destination out of memory: put the jobs back in the donor's queue.
-      QS_CHECK_MSG(dp->InjectJobs(std::move(jobs)).ok(), "split rollback lost jobs");
-    }
-    rt.EndMaintenance(fresh.id());
-    rt.EndMaintenance(donor.id());
-    if (!injected.ok()) {
-      co_return injected;
-    }
-    co_return fresh;
-  }
-
   // Adds a member (placement chooses the machine with the most idle CPU).
   Task<Status> Grow(Ctx ctx) {
     PlacementRequest req;
@@ -309,60 +243,6 @@ class DistPool {
       co_return member.status();
     }
     state_->members.push_back(*member);
-    co_return Status::Ok();
-  }
-
-  // Removes one member, moving its queued jobs to a surviving sibling.
-  // No-op (FailedPrecondition) when only one member remains.
-  Task<Status> Shrink(Ctx ctx) {
-    if (state_->members.size() <= 1) {
-      co_return Status::FailedPrecondition("cannot shrink below one member");
-    }
-    const Ref<ComputeProclet> victim = state_->members.back();
-    const Ref<ComputeProclet> survivor = state_->members.front();
-    auto begin_victim = ctx.rt->BeginMaintenance(victim.id());
-    Status s = co_await std::move(begin_victim);
-    if (!s.ok()) {
-      co_return s;
-    }
-    auto begin_survivor = ctx.rt->BeginMaintenance(survivor.id());
-    s = co_await std::move(begin_survivor);
-    if (!s.ok()) {
-      ctx.rt->EndMaintenance(victim.id());
-      co_return s;
-    }
-    auto* vp = ctx.rt->UnsafeGet<ComputeProclet>(victim.id());
-    auto* sp = ctx.rt->UnsafeGet<ComputeProclet>(survivor.id());
-    if (vp == nullptr || sp == nullptr) {
-      // Victim or survivor lost to a machine failure while we were
-      // acquiring the gates (EndMaintenance tolerates lost proclets).
-      ctx.rt->EndMaintenance(survivor.id());
-      ctx.rt->EndMaintenance(victim.id());
-      RemoveLostMembers(*ctx.rt);
-      co_return Status::DataLoss("pool member lost during shrink");
-    }
-    // Move everything the victim has queued; model the wire cost of the move.
-    auto jobs = vp->StealAllOfQueue();
-    int64_t moved_bytes = 0;
-    for (const auto& [fn, bytes] : jobs) {
-      moved_bytes += bytes;
-    }
-    auto transfer = ctx.rt->fabric().Transfer(victim.Location(), survivor.Location(),
-                                              moved_bytes);
-    co_await std::move(transfer);
-    Status injected = sp->InjectJobs(std::move(jobs));
-    if (!injected.ok()) {
-      // Survivor out of memory: the victim keeps its queue and stays.
-      QS_CHECK_MSG(vp->InjectJobs(std::move(jobs)).ok(), "shrink rollback lost jobs");
-    }
-    ctx.rt->EndMaintenance(survivor.id());
-    ctx.rt->EndMaintenance(victim.id());
-    if (!injected.ok()) {
-      co_return injected;
-    }
-    state_->members.pop_back();
-    auto destroy = ctx.rt->Destroy(ctx, victim.id());
-    co_await std::move(destroy);
     co_return Status::Ok();
   }
 

@@ -353,8 +353,19 @@ class ShardedVector {
           request_bytes, /*past_end_is_answer=*/false, &tail);
       const Result<AppendResult> appended = co_await std::move(call);
       if (appended.status().code() == StatusCode::kFailedPrecondition) {
-        // Tail sealed under us: someone is growing; refresh and retry.
-        (void)co_await client_.Refresh(ctx);
+        // Tail sealed under us: usually a grower is between its seal and its
+        // index edit, and the refreshed index shows the new tail. But a split
+        // that commits inside that window leaves a sealed shard as the
+        // index's tail, which nobody else regrows: grow it here (Seal is
+        // idempotent, and the index edit checks Holds).
+        auto route = client_.Route(ctx, kTailKey);
+        const Result<ShardInfo> current = co_await std::move(route);
+        if (current.ok() && current->proclet == tail.proclet) {
+          Status grown = co_await GrowTail(ctx, *current);
+          if (!grown.ok() && grown.code() != StatusCode::kFailedPrecondition) {
+            co_return grown;
+          }
+        }
         continue;
       }
       if (appended.status().code() == StatusCode::kOutOfRange) {

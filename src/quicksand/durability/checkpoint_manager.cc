@@ -201,7 +201,7 @@ void CheckpointManager::Start() {
 
 Task<> CheckpointManager::PeriodicLoop() {
   while (!stopped_) {
-    co_await rt_.sim().Sleep(interval_);
+    co_await rt_.sim().Sleep(options_.interval);
     if (stopped_) {
       co_return;
     }

@@ -61,8 +61,7 @@ class CheckpointManager {
       std::function<std::unique_ptr<ProcletBase>(const ProcletInit&)>;
 
   struct Options {
-    // Periodic checkpoint cadence (Start); tuned at runtime by the adapt
-    // layer's CheckpointIntervalTuner.
+    // Periodic checkpoint cadence (Start).
     Duration interval = Duration::Millis(10);
     // Machine the manager's control fibers run on (the controller).
     MachineId home = 0;
@@ -72,7 +71,7 @@ class CheckpointManager {
 
   explicit CheckpointManager(Runtime& rt) : CheckpointManager(rt, Options{}) {}
   CheckpointManager(Runtime& rt, Options options)
-      : rt_(rt), options_(options), interval_(options.interval), mu_(rt.sim()) {}
+      : rt_(rt), options_(options), mu_(rt.sim()) {}
 
   CheckpointManager(const CheckpointManager&) = delete;
   CheckpointManager& operator=(const CheckpointManager&) = delete;
@@ -98,7 +97,7 @@ class CheckpointManager {
   // revocation pre-death snapshot); returns how many succeeded.
   Task<int> CheckpointMachine(Ctx ctx, MachineId machine);
 
-  // Spawns the periodic loop (every interval(), checkpoint all dirty
+  // Spawns the periodic loop (every Options::interval, checkpoint all dirty
   // protected proclets). The loop runs until Stop().
   void Start();
   void Stop() { stopped_ = true; }
@@ -125,9 +124,6 @@ class CheckpointManager {
                            MachineId target = kInvalidMachineId);
 
   // --- Introspection --------------------------------------------------------
-
-  Duration interval() const { return interval_; }
-  void set_interval(Duration interval) { interval_ = interval; }
 
   int64_t protected_count() const { return static_cast<int64_t>(records_.size()); }
   int64_t checkpoints_taken() const { return checkpoints_taken_; }
@@ -157,7 +153,6 @@ class CheckpointManager {
 
   Runtime& rt_;
   Options options_;
-  Duration interval_;
   // Serializes checkpoint operations: the periodic loop and a revocation
   // snapshot may otherwise interleave depot creation and record commits.
   Mutex mu_;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "quicksand/common/logging.h"
-#include "quicksand/net/rpc.h"
 #include "quicksand/sched/placement.h"
 
 namespace quicksand {
@@ -144,7 +143,7 @@ Task<> ReplicationManager::Ship(
       rt_.cluster().machine(replica.backup_machine).failed()) {
     co_return;  // backup gone; the repair pass re-syncs from scratch
   }
-  int64_t bytes = Rpc::kHeaderBytes;
+  int64_t bytes = kRpcHeaderBytes;
   for (const MutationRecord& record : *batch) {
     bytes += record.bytes;
   }

@@ -210,7 +210,7 @@ auto ReplicationManager::ReadStale(Ctx ctx, ProcletId id,
   }
   const MachineId backup_machine = replica.backup_machine;
   const bool delivered = co_await rt_.fabric().Transfer(
-      ctx.machine, backup_machine, Rpc::kHeaderBytes);
+      ctx.machine, backup_machine, kRpcHeaderBytes);
   if (!delivered || replica.backup == nullptr) {
     co_return Status::Unavailable("stale-read request lost");
   }
@@ -218,7 +218,7 @@ auto ReplicationManager::ReadStale(Ctx ctx, ProcletId id,
   ++stale_reads_;
   rt_.NoteStaleRead(id, backup_machine);
   (void)co_await rt_.fabric().Transfer(backup_machine, ctx.machine,
-                                       WireSizeOf(result) + Rpc::kHeaderBytes);
+                                       WireSizeOf(result) + kRpcHeaderBytes);
   co_return result;
 }
 

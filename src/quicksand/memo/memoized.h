@@ -13,8 +13,7 @@
 // cached, and a failed leader's joiners get the leader's status — they can
 // simply retry (which starts a new flight).
 //
-// The Memoized(...) wrapper applies this to Ref<P>::Call; the DistPool
-// variant lives in compute/memoized_pool.h.
+// The Memoized(...) wrapper applies this to Ref<P>::Call.
 
 #ifndef QUICKSAND_MEMO_MEMOIZED_H_
 #define QUICKSAND_MEMO_MEMOIZED_H_

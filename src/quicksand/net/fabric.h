@@ -18,8 +18,8 @@
 // Crucially, the SENDER cannot tell: a dropped message still pays its full
 // egress serialization and propagation before vanishing, exactly like a
 // packet blackholed in a real network. Callers learn about loss only through
-// timeouts (net/rpc) or a failure detector (health/), never from Transfer's
-// return value at the instant of sending.
+// timeouts (the runtime's invocation retries) or a failure detector
+// (health/), never from Transfer's return value at the instant of sending.
 
 #ifndef QUICKSAND_NET_FABRIC_H_
 #define QUICKSAND_NET_FABRIC_H_
@@ -50,6 +50,11 @@ struct FabricConfig {
   // with a nonzero loss probability — fault-free runs never touch it).
   uint64_t fault_seed = 0x51c4a17d5a9b0c3dull;
 };
+
+// Fixed framing cost added to every RPC request and response payload: the
+// legs of remote proclet invocations, replication log shipping and backup
+// reads.
+inline constexpr int64_t kRpcHeaderBytes = 64;
 
 // Outcome of one fabric transfer, from the receiver's point of view.
 enum class Delivery {

@@ -50,51 +50,6 @@ Status ComputeProclet::Submit(Job job, int64_t job_bytes) {
   return Status::Ok();
 }
 
-std::vector<std::pair<ComputeProclet::Job, int64_t>> ComputeProclet::StealAllOfQueue() {
-  QS_CHECK_MSG(gate_closed(), "StealAllOfQueue requires the gate to be closed");
-  std::vector<std::pair<Job, int64_t>> stolen;
-  stolen.reserve(queue_.size());
-  while (!queue_.empty()) {
-    QueuedJob job = std::move(queue_.front());
-    queue_.pop_front();
-    ReleaseHeap(job.bytes);
-    stolen.emplace_back(std::move(job.fn), job.bytes);
-  }
-  return stolen;
-}
-
-std::vector<std::pair<ComputeProclet::Job, int64_t>> ComputeProclet::StealHalfOfQueue() {
-  QS_CHECK_MSG(gate_closed(), "StealHalfOfQueue requires the gate to be closed");
-  const size_t keep = queue_.size() / 2;
-  std::vector<std::pair<Job, int64_t>> stolen;
-  stolen.reserve(queue_.size() - keep);
-  while (queue_.size() > keep) {
-    QueuedJob job = std::move(queue_.back());
-    queue_.pop_back();
-    ReleaseHeap(job.bytes);
-    stolen.emplace_back(std::move(job.fn), job.bytes);
-  }
-  return stolen;
-}
-
-Status ComputeProclet::InjectJobs(std::vector<std::pair<Job, int64_t>>&& jobs) {
-  QS_CHECK_MSG(gate_closed(), "InjectJobs requires the gate to be closed");
-  // Charge everything up front so failure is all-or-nothing (a partial
-  // injection would silently drop the remaining jobs).
-  int64_t total = 0;
-  for (const auto& [fn, bytes] : jobs) {
-    total += bytes;
-  }
-  if (!TryChargeHeap(total)) {
-    return Status::ResourceExhausted("host machine out of memory for jobs");
-  }
-  for (auto& [fn, bytes] : jobs) {
-    queue_.push_back(QueuedJob{std::move(fn), bytes});
-  }
-  work_available_.WakeAll();
-  return Status::Ok();
-}
-
 Task<> ComputeProclet::OnQuiesce() {
   paused_ = true;
   // Unwedge jobs stuck waiting for (possibly starved) CPU; their remaining

@@ -4,11 +4,6 @@
 // that execute on whatever machine the proclet currently occupies. Its heap
 // is (nearly) empty — just the queued closures — which is what keeps compute
 // proclets migratable in well under a millisecond.
-//
-// Split/merge (§3.3): an oversized compute proclet (more tasks than its CPU
-// share drains) donates half of its queue to a newly created proclet;
-// undersized proclets merge by injecting their queue into a sibling. The
-// adaptive controller in quicksand/adapt drives both.
 
 #ifndef QUICKSAND_PROCLET_COMPUTE_PROCLET_H_
 #define QUICKSAND_PROCLET_COMPUTE_PROCLET_H_
@@ -65,18 +60,6 @@ class ComputeProclet : public ProcletBase {
   Status SubmitFromJob(Job job, int64_t job_bytes = kDefaultJobBytes) {
     return Submit(std::move(job), job_bytes);
   }
-
-  // --- Maintenance (call only with the gate closed) --------------------------
-
-  // Removes the back half of the queue (for splitting); heap charges move
-  // with the jobs (the caller must InjectJobs them into another proclet).
-  std::vector<std::pair<Job, int64_t>> StealHalfOfQueue();
-  // Removes the entire queue (for merging into a sibling).
-  std::vector<std::pair<Job, int64_t>> StealAllOfQueue();
-  // Appends jobs (from a split donor or a merging sibling). All-or-nothing:
-  // on failure the vector is left untouched so the caller can put the jobs
-  // back where they came from.
-  Status InjectJobs(std::vector<std::pair<Job, int64_t>>&& jobs);
 
  protected:
   Task<> OnQuiesce() override;

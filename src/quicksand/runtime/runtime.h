@@ -31,7 +31,6 @@
 #include "quicksand/common/stats.h"
 #include "quicksand/common/status.h"
 #include "quicksand/common/wire.h"
-#include "quicksand/net/rpc.h"
 #include "quicksand/overload/admission.h"
 #include "quicksand/runtime/proclet.h"
 #include "quicksand/sched/placement.h"
@@ -670,10 +669,10 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
     if (remote) {
       if (tracer_ != nullptr) {
         tracer_->Instant(tctx, ctx.machine, TraceOp::kRpcSend, id,
-                         request_bytes + Rpc::kHeaderBytes);
+                         request_bytes + kRpcHeaderBytes);
       }
       const Delivery request = co_await fabric().TransferDetailed(
-          ctx.machine, target, request_bytes + Rpc::kHeaderBytes);
+          ctx.machine, target, request_bytes + kRpcHeaderBytes);
       if (request != Delivery::kDelivered &&
           !cluster_.machine(ctx.machine).failed()) {
         // The request never arrived — the target's NIC died, or a
@@ -698,7 +697,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
       }
       if (tracer_ != nullptr && request == Delivery::kDelivered) {
         tracer_->Instant(tctx, target, TraceOp::kRpcRecv, id,
-                         request_bytes + Rpc::kHeaderBytes);
+                         request_bytes + kRpcHeaderBytes);
       }
     }
     ProcletBase* base = Find(id);
@@ -736,7 +735,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
                          tctx.deadline.nanos());
       }
       if (remote) {
-        (void)co_await DeliverResponse(target, ctx.machine, Rpc::kHeaderBytes);
+        (void)co_await DeliverResponse(target, ctx.machine, kRpcHeaderBytes);
       }
       throw DeadlineExpiredError(id);
     }
@@ -746,7 +745,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
         tracer_->Instant(tctx, target, TraceOp::kRpcShed, id, attempt);
       }
       if (remote) {
-        (void)co_await DeliverResponse(target, ctx.machine, Rpc::kHeaderBytes);
+        (void)co_await DeliverResponse(target, ctx.machine, kRpcHeaderBytes);
       }
       throw InvocationSheddedError(id);
     }
@@ -779,7 +778,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
     if (remote) {
       ++stats_.remote_invocations;
       if (ctx.caller_proclet != kInvalidProcletId) {
-        RecordAffinity(ctx.caller_proclet, id, request_bytes + Rpc::kHeaderBytes);
+        RecordAffinity(ctx.caller_proclet, id, request_bytes + kRpcHeaderBytes);
       }
     } else {
       ++stats_.local_invocations;
@@ -810,7 +809,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
         }
       }
       if (remote) {
-        if (!co_await DeliverResponse(target, ctx.machine, Rpc::kHeaderBytes)) {
+        if (!co_await DeliverResponse(target, ctx.machine, kRpcHeaderBytes)) {
           // The call ran; only the caller never learned. At-least-once:
           // resend with the same request id and a FenceGuard dedups it.
           ++stats_.unreachable_invocations;
@@ -841,7 +840,7 @@ auto Runtime::Invoke(Ctx ctx, ProcletId id, Fn fn, int64_t request_bytes)
       }
       if (remote) {
         if (!co_await DeliverResponse(target, ctx.machine,
-                                      WireSizeOf(*result) + Rpc::kHeaderBytes)) {
+                                      WireSizeOf(*result) + kRpcHeaderBytes)) {
           // The call ran and produced a result the caller will never see.
           // At-least-once: resend with the same request id and a FenceGuard
           // dedups it.

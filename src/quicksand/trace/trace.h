@@ -88,8 +88,6 @@ enum class TraceOp : uint8_t {
   kSplit,        // shard split (instant, emitted by shard maintenance)
   kMerge,        // shard merge
   kInvoke,       // one proclet method invocation, caller side (span)
-  kRpc,          // Rpc::RoundTripWithRetry envelope (span)
-  kRpcAttempt,   // one Rpc::RoundTrip attempt (span)
   kRpcSend,      // request leg handed to the fabric
   kRpcRecv,      // request leg delivered at the destination
   kRpcRetry,     // backoff expired, another attempt starts

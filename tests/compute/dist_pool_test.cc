@@ -101,27 +101,6 @@ TEST(DistPoolTest, GrowAddsCapacity) {
   EXPECT_LT(f.sim.Now() - start, 25_ms);
 }
 
-TEST(DistPoolTest, ShrinkPreservesQueuedJobs) {
-  Fixture f;
-  DistPool pool = f.MakePool(2, 1);
-  int64_t done = 0;
-  for (int i = 0; i < 30; ++i) {
-    EXPECT_TRUE(f.sim.BlockOn(pool.Submit(f.ctx(), Burn(2_ms, &done))).ok());
-  }
-  EXPECT_TRUE(f.sim.BlockOn(pool.Shrink(f.ctx())).ok());
-  EXPECT_EQ(pool.members().size(), 1u);
-  f.sim.BlockOn(pool.Drain(f.ctx()));
-  f.sim.RunUntilIdle();
-  EXPECT_EQ(done, 30);  // no job lost in the merge
-}
-
-TEST(DistPoolTest, CannotShrinkBelowOne) {
-  Fixture f;
-  DistPool pool = f.MakePool(1);
-  EXPECT_EQ(f.sim.BlockOn(pool.Shrink(f.ctx())).code(),
-            StatusCode::kFailedPrecondition);
-}
-
 TEST(DistPoolTest, ShutdownDestroysMembers) {
   Fixture f;
   DistPool pool = f.MakePool(3);

@@ -132,6 +132,35 @@ TEST(ShardedVectorTest, ReshapeFromSnapshotBeforeTailGrowthRollsBack) {
   EXPECT_EQ(*f.sim.BlockOn(vec.Size(f.ctx())), 72u);
 }
 
+// A split that commits between a grower's seal and its index edit leaves a
+// sealed shard as the index's tail. The next append grows that tail instead
+// of retrying until it gives up.
+TEST(ShardedVectorTest, PushBackGrowsASealedTail) {
+  Fixture f;
+  IntVector vec = f.sim.BlockOn(MakeVector(f.ctx()));
+  f.sim.BlockOn(PushN(vec, f.ctx(), 3));
+  f.sim.BlockOn(vec.router().Refresh(f.ctx()));
+  const ShardInfo tail = vec.router().cached_shards().back();
+  ASSERT_EQ(tail.end, UINT64_MAX);
+
+  // Seal the tail directly; the index still names it as the tail.
+  Ref<IntVector::Shard> shard(f.rt.get(), tail.proclet);
+  EXPECT_EQ(f.sim.BlockOn(shard.Call(
+                f.ctx(), [](IntVector::Shard& s) -> Task<int64_t> { co_return s.Seal(); })),
+            3);
+
+  Result<uint64_t> idx = f.sim.BlockOn(vec.PushBack(f.ctx(), 42));
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  EXPECT_EQ(*idx, 3u);
+  EXPECT_EQ(*f.sim.BlockOn(vec.Get(f.ctx(), 3)), 42);
+  EXPECT_EQ(*f.sim.BlockOn(vec.Size(f.ctx())), 4u);
+  f.sim.BlockOn(vec.router().Refresh(f.ctx()));
+  const std::vector<ShardInfo> shards = vec.router().cached_shards();
+  ASSERT_EQ(shards.size(), 2u);
+  EXPECT_EQ(shards[0].end, 3u);
+  EXPECT_EQ(shards[1].begin, 3u);
+}
+
 TEST(ShardedVectorTest, ShardsSpreadAcrossMachines) {
   Fixture f(4);
   IntVector::Options options;

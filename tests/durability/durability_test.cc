@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "quicksand/adapt/checkpoint_tuner.h"
-#include "quicksand/adapt/controller.h"
 #include "quicksand/cluster/fault_injector.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/compute/dist_pool.h"
@@ -167,52 +165,6 @@ TEST(RecoveryTest, AwaitRestoreTimesOutWithoutRecovery) {
       f.sim.BlockOn(f.rt->AwaitRestore(p.id(), Duration::Millis(2)));
   EXPECT_FALSE(restored);
   EXPECT_LE(f.sim.Now() - before, Duration::Millis(3));  // bounded stall
-}
-
-// The tuner widens the interval when the checkpoint stream exceeds its
-// bandwidth budget and tightens it when there is headroom.
-TEST(CheckpointTunerTest, AdaptsIntervalToTraffic) {
-  Fixture f;
-  CheckpointManager checkpoints(
-      *f.rt, CheckpointManager::Options{Duration::Millis(2)});
-  CheckpointIntervalTuner::Options topt;
-  topt.max_overhead_fraction = 0.10;
-  topt.reference_bandwidth = 1e6;  // tiny budget: 100 KB/s
-  CheckpointIntervalTuner tuner(*f.rt, checkpoints, topt);
-
-  Ref<MemoryProclet> p = f.CreatePinned(1);
-  ASSERT_TRUE(
-      f.sim.BlockOn(checkpoints.ProtectAs<MemoryProclet>(f.ctx(), p.id()))
-          .ok());
-  checkpoints.Start();
-
-  // In production the tuner is an AdaptiveController pass; here Register only
-  // snapshots the measurement baseline (after the initial full image, which is
-  // protection cost, not steady-state traffic) and the control steps are
-  // driven by hand so each measurement window is exact.
-  AdaptiveController controller(*f.rt, 0, Duration::Millis(5));
-  tuner.Register(controller);
-
-  // A hot writer: ~16 KiB of dirty bytes per ms blows the 100 KB/s budget.
-  for (int i = 0; i < 10; ++i) {
-    (void)*f.sim.BlockOn(Put(f.ctx(), p, std::string(16 * 1024, 'x')));
-    f.sim.RunFor(Duration::Millis(1));
-  }
-  f.sim.BlockOn(tuner.TuneOnce(f.ctx()));
-  EXPECT_EQ(tuner.widenings(), 1);
-  EXPECT_GT(checkpoints.interval(), Duration::Millis(2));
-
-  // Writer stops. The next window may still carry the tail of the last flush;
-  // consume it, then a fully quiet window reads ~zero traffic and the
-  // interval creeps back down.
-  f.sim.RunFor(Duration::Millis(12));
-  f.sim.BlockOn(tuner.TuneOnce(f.ctx()));
-  const Duration before_quiet = checkpoints.interval();
-  f.sim.RunFor(Duration::Millis(40));
-  f.sim.BlockOn(tuner.TuneOnce(f.ctx()));
-  EXPECT_GT(tuner.tightenings(), 0);
-  EXPECT_LT(checkpoints.interval(), before_quiet);
-  checkpoints.Stop();
 }
 
 // A job that completed on a machine that later crashed must not be

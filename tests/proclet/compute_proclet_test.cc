@@ -118,30 +118,6 @@ TEST(ComputeProcletTest, MigrationMovesQueuedJobs) {
             12_ms);
 }
 
-TEST(ComputeProcletTest, StealHalfAndInjectPreserveJobs) {
-  Fixture f;
-  Ref<ComputeProclet> a = f.Make(0, 1);
-  Ref<ComputeProclet> b = f.Make(1, 1);
-  // Stop workers from draining while we stage jobs: close gates first.
-  int64_t counter = 0;
-  // Submit slow first job to occupy the worker, then a backlog.
-  for (int i = 0; i < 9; ++i) {
-    EXPECT_TRUE(f.sim.BlockOn(f.Submit(a, BurnJob(5_ms, &counter))).ok());
-  }
-  EXPECT_TRUE(f.sim.BlockOn(f.rt->BeginMaintenance(a.id())).ok());
-  EXPECT_TRUE(f.sim.BlockOn(f.rt->BeginMaintenance(b.id())).ok());
-  auto* pa = f.rt->UnsafeGet<ComputeProclet>(a.id());
-  auto* pb = f.rt->UnsafeGet<ComputeProclet>(b.id());
-  const int64_t before = pa->queue_depth();
-  auto stolen = pa->StealHalfOfQueue();
-  EXPECT_EQ(static_cast<int64_t>(stolen.size()), before - before / 2);
-  EXPECT_TRUE(pb->InjectJobs(std::move(stolen)).ok());
-  f.rt->EndMaintenance(a.id());
-  f.rt->EndMaintenance(b.id());
-  f.sim.RunUntilIdle();
-  EXPECT_EQ(counter, 9);
-}
-
 TEST(ComputeProcletTest, DestroyDropsQueuedJobsAndStopsWorkers) {
   Fixture f;
   Ref<ComputeProclet> cp = f.Make(0, 1);

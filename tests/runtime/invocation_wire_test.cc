@@ -65,7 +65,7 @@ TEST(InvocationWireTest, RemoteCallChargesRequestAndResponse) {
   (void)f.sim.BlockOn(std::move(call));
   const int64_t sent = f.cluster.fabric().total_bytes_sent() - before;
   // Request: 5000 + 64 header. Response: sizeof(int64_t) + 64 header.
-  EXPECT_EQ(sent, kRequestBytes + Rpc::kHeaderBytes + 8 + Rpc::kHeaderBytes);
+  EXPECT_EQ(sent, kRequestBytes + kRpcHeaderBytes + 8 + kRpcHeaderBytes);
 }
 
 TEST(InvocationWireTest, ResponsePayloadScalesWithResult) {
@@ -83,7 +83,7 @@ TEST(InvocationWireTest, ResponsePayloadScalesWithResult) {
   (void)f.sim.BlockOn(std::move(call));
   const int64_t sent = f.cluster.fabric().total_bytes_sent() - before;
   // Request header only; response 10008 (string + length prefix) + header.
-  EXPECT_EQ(sent, Rpc::kHeaderBytes + (10000 + 8) + Rpc::kHeaderBytes);
+  EXPECT_EQ(sent, kRpcHeaderBytes + (10000 + 8) + kRpcHeaderBytes);
 }
 
 TEST(InvocationWireTest, BouncePaysRedirect) {
@@ -105,8 +105,8 @@ TEST(InvocationWireTest, BouncePaysRedirect) {
   // Bounced request (header) + redirect (control msg) + directory re-lookup
   // (2 control msgs) + real request (header) + response (8 + header).
   const int64_t control = f.rt->config().control_message_bytes;
-  EXPECT_EQ(sent, Rpc::kHeaderBytes + control + 2 * control + Rpc::kHeaderBytes + 8 +
-                      Rpc::kHeaderBytes);
+  EXPECT_EQ(sent, kRpcHeaderBytes + control + 2 * control + kRpcHeaderBytes + 8 +
+                      kRpcHeaderBytes);
 }
 
 TEST(InvocationWireTest, AffinityRecordsRemoteTraffic) {
@@ -118,7 +118,7 @@ TEST(InvocationWireTest, AffinityRecordsRemoteTraffic) {
   auto call = b.Call(
       from_a, [](MemoryProclet&) -> Task<int64_t> { co_return 1; }, 1000);
   (void)f.sim.BlockOn(std::move(call));
-  EXPECT_EQ(f.rt->AffinityBytes(a.id(), b.id()), 1000 + Rpc::kHeaderBytes);
+  EXPECT_EQ(f.rt->AffinityBytes(a.id(), b.id()), 1000 + kRpcHeaderBytes);
 }
 
 TEST(InvocationWireTest, DirectoryLookupCountsControlMessages) {

@@ -12,9 +12,11 @@
 // keeps every tick, silent or not, as an entry keyed (time, seq); a silent
 // one re-enters the model one period later with the next seq. At each
 // callback the test checks which one fires, at what time, and how many
-// silent ticks passed before it.
+// silent ticks passed before it. RunUntil deadlines fall at random, and also
+// just past a cancelled earliest event, before the next live entry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -128,15 +130,33 @@ class ModelDriver {
   // at or before it fires (silent ticks pass), none after it, and Now()
   // lands on the deadline.
   void RunUntilSome() {
-    const int64_t deadline_ns =
-        sim_.Now().nanos() + static_cast<int64_t>(SplitMix64(rng_) % 51) * 4000;
-    sim_.RunUntil(SimTime::FromNanos(deadline_ns));
-    PassSilentTicks(deadline_ns);
-    if (!model_.empty()) {
-      EXPECT_GT(model_.begin()->first.first, deadline_ns);
+    RunUntilChecked(sim_.Now().nanos() +
+                    static_cast<int64_t>(SplitMix64(rng_) % 51) * 4000);
+  }
+
+  // Cancels the earliest pending event, then runs until a deadline at or
+  // after it and before the next live entry. The queue then holds a
+  // cancelled entry inside the deadline with a live one past it, and
+  // RunUntil must stop between them.
+  void CancelEarliestThenRunUntil() {
+    const auto it = std::find_if(model_.begin(), model_.end(), [](const auto& entry) {
+      return (entry.second & kTickBit) == 0;
+    });
+    if (it == model_.end()) {
+      return;
     }
-    EXPECT_EQ(sim_.Now().nanos(), deadline_ns);
-    EXPECT_EQ(sim_.silent_tick_count(), silent_);
+    const int64_t cancelled_ns = it->first.first;
+    const EventId id = token_to_id_.at(it->second);
+    sim_.Cancel(id);
+    by_id_.erase(id);
+    const auto next = model_.erase(it);
+    int64_t deadline_ns = cancelled_ns;
+    if (next != model_.end() && next->first.first > cancelled_ns) {
+      deadline_ns += static_cast<int64_t>(
+          SplitMix64(rng_) % static_cast<uint64_t>(next->first.first - cancelled_ns));
+      ++cancelled_heads_;
+    }
+    RunUntilChecked(deadline_ns);
   }
 
   void StepSome(size_t n) {
@@ -160,6 +180,7 @@ class ModelDriver {
   }
 
   uint64_t Rand() { return SplitMix64(rng_); }
+  int64_t cancelled_heads() const { return cancelled_heads_; }
   size_t scheduled() const { return next_token_; }
   int64_t silent() const { return silent_; }
   int64_t fired_ticks() const { return fired_ticks_; }
@@ -180,6 +201,16 @@ class ModelDriver {
   };
 
   static uint64_t TickToken(const Ticker& ticker) { return kTickBit | ticker.index; }
+
+  void RunUntilChecked(int64_t deadline_ns) {
+    sim_.RunUntil(SimTime::FromNanos(deadline_ns));
+    PassSilentTicks(deadline_ns);
+    if (!model_.empty()) {
+      EXPECT_GT(model_.begin()->first.first, deadline_ns);
+    }
+    EXPECT_EQ(sim_.Now().nanos(), deadline_ns);
+    EXPECT_EQ(sim_.silent_tick_count(), silent_);
+  }
 
   // Mix of delays: the now lane (zero), the rung window (< 64us), and the
   // far heap — plus exact-boundary values to probe the rung edge. With
@@ -289,6 +320,7 @@ class ModelDriver {
   int64_t silent_ = 0;
   int64_t fired_ticks_ = 0;
   int64_t shared_nanos_ = 0;
+  int64_t cancelled_heads_ = 0;
   int64_t last_time_ns_ = -1;
   bool last_was_tick_ = false;
   int mismatches_ = 0;
@@ -340,7 +372,7 @@ TEST(EventQueuePropertyTest, SecondSeedMatchesModel) {
 TEST(EventQueuePropertyTest, TimersAndTickLanesMatchModel) {
   ModelDriver driver(/*seed=*/0x71c4a1e5ULL, /*with_timers=*/true);
   while (driver.scheduled() < 50000) {
-    const uint64_t op = driver.Rand() % 12;
+    const uint64_t op = driver.Rand() % 13;
     if (op < 4) {
       driver.ScheduleOne(/*allow_chain=*/true);
     } else if (op < 6) {
@@ -351,6 +383,8 @@ TEST(EventQueuePropertyTest, TimersAndTickLanesMatchModel) {
       driver.LowerRandomBudget();
     } else if (op == 9) {
       driver.RunUntilSome();
+    } else if (op == 10) {
+      driver.CancelEarliestThenRunUntil();
     } else {
       driver.StepSome(driver.Rand() % 16);
     }
@@ -364,6 +398,7 @@ TEST(EventQueuePropertyTest, TimersAndTickLanesMatchModel) {
   EXPECT_GT(driver.silent(), 100000);
   EXPECT_GT(driver.fired_ticks(), 30000);
   EXPECT_GT(driver.shared_nanos(), 10000);
+  EXPECT_GT(driver.cancelled_heads(), 1000);
 }
 
 }  // namespace
