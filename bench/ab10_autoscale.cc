@@ -20,17 +20,16 @@
 // match — the determinism gate) plus the shedding-only baseline, and exits
 // nonzero unless the hot shard split, the baseline shed >=10x more at the
 // hot shard, and the autoscale run's post-settle windowed p99 is inside the
-// SLO. It also writes results/BENCH_ab10.json.
+// SLO. The full run writes results/BENCH_ab10.json.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "quicksand/autoscale/autoscaler.h"
 #include "quicksand/cluster/metrics.h"
 #include "quicksand/common/bytes.h"
@@ -252,49 +251,22 @@ void PrintRow(const char* which, const RunResult& r) {
       static_cast<long long>(r.deferred));
 }
 
-struct JsonRow {
-  std::string scenario;
-  std::string mode;
-  double goodput_qps;
-  double settle_p99_us;
-  int64_t hot_shard_sheds;
-  int shards_final;
-  int64_t splits;
-};
-
-void WriteJson(const std::vector<JsonRow>& rows) {
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_ab10.json");
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out << "  {\"scenario\": \"" << rows[i].scenario << "\", \"mode\": \""
-        << rows[i].mode << "\", \"goodput_qps\": " << rows[i].goodput_qps
-        << ", \"settle_p99_us\": " << rows[i].settle_p99_us
-        << ", \"hot_shard_sheds\": " << rows[i].hot_shard_sheds
-        << ", \"shards_final\": " << rows[i].shards_final
-        << ", \"splits\": " << rows[i].splits << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  std::printf("ab10: wrote %zu rows to results/BENCH_ab10.json\n", rows.size());
-}
-
-JsonRow Row(const std::string& scenario, Mode mode, const RunResult& r) {
-  return JsonRow{scenario,
-                 ModeName(mode),
-                 r.goodput_qps,
-                 static_cast<double>(r.settle_p99.nanos()) / 1e3,
-                 r.hot_shard_sheds,
-                 r.shards_final,
-                 r.splits};
+void AddRow(BenchJson& json, const std::string& scenario, Mode mode,
+            const RunResult& r) {
+  json.AddRow()
+      .Str("scenario", scenario)
+      .Str("mode", ModeName(mode))
+      .Num("goodput_qps", r.goodput_qps)
+      .Num("settle_p99_us", static_cast<double>(r.settle_p99.nanos()) / 1e3)
+      .Int("hot_shard_sheds", r.hot_shard_sheds)
+      .Int("shards_final", r.shards_final)
+      .Int("splits", r.splits);
 }
 
 int Smoke(BenchTrace* trace) {
   const RunResult auto1 = RunOne(Mode::kAutoscale, 1, trace, "smoke_auto_run1");
   const RunResult auto2 = RunOne(Mode::kAutoscale, 1, trace, "smoke_auto_run2");
   const RunResult base = RunOne(Mode::kSheddingOnly, 1, trace, "smoke_base");
-  WriteJson({Row("smoke", Mode::kSheddingOnly, base),
-             Row("smoke", Mode::kAutoscale, auto1)});
   std::printf(
       "ab10 smoke: flash %.1fx on %llu keys, %d hosts\n"
       "  shed-only: goodput %.0f qps, settle p99 %s, hot-shard sheds %lld\n"
@@ -364,7 +336,7 @@ void Main(BenchTrace* trace) {
   std::printf("%12s | %9s %9s | %7s %7s | %3s %6s %6s %5s %5s\n", "mode",
               "goodput", "stl_p99", "hotshed", "failed", "sh", "splits",
               "merges", "migr", "defer");
-  std::vector<JsonRow> json;
+  BenchJson json;
   const RunResult base = RunOne(Mode::kSheddingOnly, 1, trace, "flash_base");
   const RunResult scaled = RunOne(Mode::kAutoscale, 1, trace, "flash_auto");
   const RunResult capped =
@@ -372,9 +344,9 @@ void Main(BenchTrace* trace) {
   PrintRow(ModeName(Mode::kSheddingOnly), base);
   PrintRow(ModeName(Mode::kAutoscale), scaled);
   PrintRow(ModeName(Mode::kCopyBudgetZero), capped);
-  json.push_back(Row("flash", Mode::kSheddingOnly, base));
-  json.push_back(Row("flash", Mode::kAutoscale, scaled));
-  json.push_back(Row("flash", Mode::kCopyBudgetZero, capped));
+  AddRow(json, "flash", Mode::kSheddingOnly, base);
+  AddRow(json, "flash", Mode::kAutoscale, scaled);
+  AddRow(json, "flash", Mode::kCopyBudgetZero, capped);
   std::printf(
       "\n(shed-only pays at the hot shard for the whole flash while 3 hosts "
       "idle; autoscale splits the hot range onto them within a few control "
@@ -384,7 +356,7 @@ void Main(BenchTrace* trace) {
       "on relative cold, not over-sharding — benign by design; with a zero "
       "copy budget every planned reshape is deferred, which degenerates to "
       "shed-only: the executor really does refuse SLO-hostile copies)\n");
-  WriteJson(json);
+  json.WriteFile("results/BENCH_ab10.json");
 }
 
 }  // namespace

@@ -27,18 +27,19 @@
 // (unsafe_reshape_for_test); the oracles must catch the acked-write loss,
 // the shrinker must reduce the schedule to <= 5 events while it still
 // reproduces, and the SAME schedule through the hardened path must pass.
-// The minimal repro + postmortems land in results/ab11_repro.txt.
+//
+// The full run sweeps 20 seeds into results/BENCH_ab11.json, then replays
+// the same bug hunt and leaves the minimal repro + postmortems in
+// results/ab11_repro.txt. --smoke and --seeds write nothing under results/.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "quicksand/chaos/harness.h"
 #include "quicksand/chaos/oracles.h"
 #include "quicksand/chaos/schedule.h"
@@ -85,56 +86,21 @@ Duration MaxOutage(const ChaosRunResult& r) {
   return max;
 }
 
-struct JsonRow {
-  uint64_t seed;
-  std::string profile;
-  bool survived;
-  size_t violations;
-  int64_t started;
-  int64_t acked;
-  int64_t failed;
-  int64_t crashes;
-  int64_t repairs;
-  int64_t rollbacks;
-  int64_t discards;
-  double outage_max_us;
-};
-
-JsonRow Row(uint64_t seed, const char* profile, const ChaosRunResult& r) {
-  return JsonRow{seed,
-                 profile,
-                 r.survived,
-                 r.violations.size(),
-                 r.started,
-                 r.acked,
-                 r.failed,
-                 r.crashes,
-                 r.repairs,
-                 r.reshape_rollbacks,
-                 r.reshape_payload_discards,
-                 static_cast<double>(MaxOutage(r).nanos()) / 1e3};
-}
-
-void WriteJson(const std::vector<JsonRow>& rows) {
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_ab11.json");
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    out << "  {\"seed\": " << r.seed << ", \"profile\": \"" << r.profile
-        << "\", \"survived\": " << (r.survived ? "true" : "false")
-        << ", \"violations\": " << r.violations
-        << ", \"started\": " << r.started << ", \"acked\": " << r.acked
-        << ", \"failed\": " << r.failed << ", \"crashes\": " << r.crashes
-        << ", \"repairs\": " << r.repairs
-        << ", \"reshape_rollbacks\": " << r.rollbacks
-        << ", \"payload_discards\": " << r.discards
-        << ", \"outage_max_us\": " << r.outage_max_us << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  std::printf("ab11: wrote %zu rows to results/BENCH_ab11.json\n",
-              rows.size());
+void AddRow(BenchJson& json, uint64_t seed, const char* profile,
+            const ChaosRunResult& r) {
+  json.AddRow()
+      .Int("seed", static_cast<int64_t>(seed))
+      .Str("profile", profile)
+      .Bool("survived", r.survived)
+      .Int("violations", static_cast<int64_t>(r.violations.size()))
+      .Int("started", r.started)
+      .Int("acked", r.acked)
+      .Int("failed", r.failed)
+      .Int("crashes", r.crashes)
+      .Int("repairs", r.repairs)
+      .Int("reshape_rollbacks", r.reshape_rollbacks)
+      .Int("payload_discards", r.reshape_payload_discards)
+      .Num("outage_max_us", static_cast<double>(MaxOutage(r).nanos()) / 1e3);
 }
 
 void PrintRow(uint64_t seed, const char* profile, const ChaosRunResult& r) {
@@ -198,7 +164,8 @@ ChaosSchedule BugSchedule() {
   return s;
 }
 
-int BugHunt() {
+// Writes the minimal repro to `repro_path` unless it is null.
+int BugHunt(const char* repro_path) {
   const ChaosSchedule bug = BugSchedule();
   ChaosHarnessOptions unsafe_opt = ReshapeProfile();
   unsafe_opt.unsafe_reshape = true;
@@ -234,20 +201,19 @@ int BugHunt() {
               bug.events.size(), shrunk.schedule.events.size(), shrunk.probes,
               shrunk.rounds, repro.violations.size());
 
-  std::filesystem::create_directories("results");
-  {
-    std::ofstream out("results/ab11_repro.txt");
-    out << "Minimal repro for the crash-mid-reshape bug "
-        << "(unsafe_reshape_for_test)\n\nschedule: "
-        << FormatSchedule(shrunk.schedule) << "\nviolations:\n"
-        << FormatViolations(repro.violations) << "\n";
+  if (repro_path != nullptr) {
+    std::string text = "Minimal repro for the crash-mid-reshape bug "
+                       "(unsafe_reshape_for_test)\n\nschedule: " +
+                       FormatSchedule(shrunk.schedule) + "\nviolations:\n" +
+                       FormatViolations(repro.violations) + "\n";
     for (const std::string& postmortem : repro.postmortems) {
-      out << "\n" << postmortem;
+      text += "\n" + postmortem;
     }
+    WriteResultFile(repro_path, text);
+    std::printf("ab11 bug-hunt: wrote minimal repro + %zu postmortems to "
+                "%s\n",
+                repro.postmortems.size(), repro_path);
   }
-  std::printf("ab11 bug-hunt: wrote minimal repro + %zu postmortems to "
-              "results/ab11_repro.txt\n",
-              repro.postmortems.size());
 
   if (repro.violations.empty() || shrunk.schedule.events.size() > 5) {
     std::printf("ab11 smoke: FAIL — shrink did not hold the violation at "
@@ -275,7 +241,6 @@ int Smoke() {
   // statistic. Seed 3 runs twice — the digests must match bit for bit.
   const std::vector<uint64_t> reshape_corpus = {3, 7, 11, 19};
   const std::vector<uint64_t> durable_corpus = {5};
-  std::vector<JsonRow> rows;
   int bad = 0;
   std::string digest_first;
   std::string digest_second;
@@ -283,7 +248,6 @@ int Smoke() {
     const ChaosSchedule schedule = MakeSchedule(seed, /*max_crashes=*/2);
     const ChaosRunResult r = RunChaos(schedule, ReshapeProfile());
     PrintRow(seed, "reshape", r);
-    rows.push_back(Row(seed, "reshape", r));
     if (!r.survived) {
       ++bad;
       std::printf("%s", FormatViolations(r.violations).c_str());
@@ -297,13 +261,11 @@ int Smoke() {
     const ChaosSchedule schedule = MakeSchedule(seed, /*max_crashes=*/1);
     const ChaosRunResult r = RunChaos(schedule, DurableProfile());
     PrintRow(seed, "durable", r);
-    rows.push_back(Row(seed, "durable", r));
     if (!r.survived) {
       ++bad;
       std::printf("%s", FormatViolations(r.violations).c_str());
     }
   }
-  WriteJson(rows);
   if (bad > 0) {
     std::printf("ab11 smoke: FAIL — %d corpus schedules not survived\n", bad);
     return 1;
@@ -314,7 +276,7 @@ int Smoke() {
                 digest_first.c_str(), digest_second.c_str());
     return 1;
   }
-  if (BugHunt() != 0) {
+  if (BugHunt(nullptr) != 0) {
     return 1;
   }
   std::printf("ab11 smoke: PASS (corpus survived deterministically; the "
@@ -322,7 +284,9 @@ int Smoke() {
   return 0;
 }
 
-void Main(int seeds) {
+// Only the full run (the default 20 seeds) records; a --seeds soak does not
+// overwrite the committed record with a different sweep.
+int Main(int seeds, bool record) {
   std::printf("=== A11: seeded chaos schedules vs the invariant oracles ===\n");
   std::printf("(%d machines; %s horizon; 8 events/schedule; reshape profile "
               "allows 2 fail-stops with the ledger excusing data that died "
@@ -333,7 +297,7 @@ void Main(int seeds) {
               "viol\n",
               "seed", "profile", "outcome", "start", "acked", "fail", "cr",
               "rv", "net", "rep", "rb", "max outage");
-  std::vector<JsonRow> rows;
+  BenchJson json;
   int violated = 0;
   int survived = 0;
   std::vector<Duration> outages;
@@ -344,7 +308,7 @@ void Main(int seeds) {
     const ChaosRunResult r =
         RunChaos(schedule, durable ? DurableProfile() : ReshapeProfile());
     PrintRow(seed, durable ? "durable" : "reshape", r);
-    rows.push_back(Row(seed, durable ? "durable" : "reshape", r));
+    AddRow(json, seed, durable ? "durable" : "reshape", r);
     if (!r.violations.empty()) {
       ++violated;
       std::printf("%s", FormatViolations(r.violations).c_str());
@@ -373,10 +337,13 @@ void Main(int seeds) {
               (outages.empty() ? Duration::Zero() : outages.back())
                   .ToString()
                   .c_str());
-  WriteJson(rows);
-  if (violated > 0) {
-    std::exit(1);
+  if (record) {
+    json.WriteFile("results/BENCH_ab11.json");
   }
+  if (violated > 0) {
+    return 1;
+  }
+  return BugHunt(record ? "results/ab11_repro.txt" : nullptr);
 }
 
 }  // namespace
@@ -404,10 +371,8 @@ int main(int argc, char** argv) {
     }
     return r.violations.empty() ? 0 : 1;
   }
-  int seeds = 20;
   if (argc > 2 && std::strcmp(argv[1], "--seeds") == 0) {
-    seeds = std::max(1, std::atoi(argv[2]));
+    return quicksand::Main(std::max(1, std::atoi(argv[2])), /*record=*/false);
   }
-  quicksand::Main(seeds);
-  return 0;
+  return quicksand::Main(20, /*record=*/true);
 }

@@ -26,17 +26,16 @@
 // the harvest pair, and the stale trio, gating on: determinism, >= 70% hit
 // rate, zero acked-write loss with harvesting (and loss in the ablation),
 // and the stale mode keeping p99 in SLO while failing fewer requests than
-// the memo-off baseline. Writes results/BENCH_ab12.json.
+// the memo-off baseline. The full run writes results/BENCH_ab12.json.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "quicksand/cluster/metrics.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/memo/memo_harvester.h"
@@ -323,59 +322,35 @@ HarvestResult RunHarvest(bool harvest_cache, uint64_t seed, BenchTrace* trace,
 
 // --- reporting --------------------------------------------------------------
 
-struct JsonRow {
-  std::string scenario;
-  std::string mode;
-  double offered_qps = 0.0;
-  double goodput_qps = 0.0;
-  double p99_us = 0.0;
-  double hit_rate = 0.0;
-  int64_t failed = 0;
-  int64_t stale_serves = 0;
-  int64_t acked_lost = 0;
-  int64_t cache_bytes_dropped = 0;
-};
-
-void WriteJson(const std::vector<JsonRow>& rows) {
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_ab12.json");
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& r = rows[i];
-    out << "  {\"scenario\": \"" << r.scenario << "\", \"mode\": \"" << r.mode
-        << "\", \"offered_qps\": " << r.offered_qps
-        << ", \"goodput_qps\": " << r.goodput_qps << ", \"p99_us\": " << r.p99_us
-        << ", \"hit_rate\": " << r.hit_rate << ", \"failed\": " << r.failed
-        << ", \"stale_serves\": " << r.stale_serves
-        << ", \"acked_lost\": " << r.acked_lost
-        << ", \"cache_bytes_dropped\": " << r.cache_bytes_dropped << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  std::printf("ab12: wrote %zu rows to results/BENCH_ab12.json\n", rows.size());
+void AddServingRow(BenchJson& json, const std::string& scenario,
+                   const std::string& mode, double offered,
+                   const ServingResult& r) {
+  json.AddRow()
+      .Str("scenario", scenario)
+      .Str("mode", mode)
+      .Num("offered_qps", offered)
+      .Num("goodput_qps", r.goodput_qps)
+      .Num("p99_us", static_cast<double>(r.p99.nanos()) / 1e3)
+      .Num("hit_rate", r.hit_rate)
+      .Int("failed", r.failed)
+      .Int("stale_serves", r.memo_stale_serves)
+      .Int("acked_lost", 0)
+      .Int("cache_bytes_dropped", 0);
 }
 
-JsonRow ServingRow(const std::string& scenario, const std::string& mode,
-                   double offered, const ServingResult& r) {
-  JsonRow row;
-  row.scenario = scenario;
-  row.mode = mode;
-  row.offered_qps = offered;
-  row.goodput_qps = r.goodput_qps;
-  row.p99_us = static_cast<double>(r.p99.nanos()) / 1e3;
-  row.hit_rate = r.hit_rate;
-  row.failed = r.failed;
-  row.stale_serves = r.memo_stale_serves;
-  return row;
-}
-
-JsonRow HarvestRow(const std::string& mode, const HarvestResult& r) {
-  JsonRow row;
-  row.scenario = "harvest";
-  row.mode = mode;
-  row.acked_lost = r.lost;
-  row.cache_bytes_dropped = r.cache_bytes_dropped;
-  return row;
+void AddHarvestRow(BenchJson& json, const std::string& mode,
+                   const HarvestResult& r) {
+  json.AddRow()
+      .Str("scenario", "harvest")
+      .Str("mode", mode)
+      .Num("offered_qps", 0.0)
+      .Num("goodput_qps", 0.0)
+      .Num("p99_us", 0.0)
+      .Num("hit_rate", 0.0)
+      .Int("failed", 0)
+      .Int("stale_serves", 0)
+      .Int("acked_lost", r.lost)
+      .Int("cache_bytes_dropped", r.cache_bytes_dropped);
 }
 
 void PrintServing(const char* which, double offered, const ServingResult& r) {
@@ -388,7 +363,6 @@ void PrintServing(const char* which, double offered, const ServingResult& r) {
 
 int Smoke(BenchTrace* trace) {
   int rc = 0;
-  std::vector<JsonRow> json;
 
   // Determinism + hit rate: the zipf point, same seed, twice.
   const double offered = 1.5 * kCapacityQps;
@@ -398,8 +372,6 @@ int Smoke(BenchTrace* trace) {
       RunServing(offered, MemoMode::kStale, 1, trace, "smoke_zipf_on2");
   const ServingResult off =
       RunServing(offered, MemoMode::kOff, 1, trace, "smoke_zipf_off");
-  json.push_back(ServingRow("zipf", "memo", offered, on1));
-  json.push_back(ServingRow("zipf", "off", offered, off));
   std::printf("ab12 smoke zipf: offered %.0f qps (shard capacity %.0f)\n"
               "  memo on:  goodput %.0f qps, hit rate %.1f%%, p99 %s\n"
               "  memo off: goodput %.0f qps, p99 %s\n",
@@ -428,8 +400,6 @@ int Smoke(BenchTrace* trace) {
   // ablation loses.
   const HarvestResult harvest = RunHarvest(true, 7, trace, "smoke_harvest");
   const HarvestResult ship = RunHarvest(false, 7, trace, "smoke_ship_cache");
-  json.push_back(HarvestRow("harvest", harvest));
-  json.push_back(HarvestRow("ship_cache", ship));
   std::printf("ab12 smoke harvest: %lld acked writes\n"
               "  cache harvested: %lld lost, %lld cache bytes dropped free\n"
               "  cache shipped:   %lld lost (cache spent the deadline)\n",
@@ -460,8 +430,6 @@ int Smoke(BenchTrace* trace) {
                                         "smoke_stale_base", 0.8);
   const ServingResult stale = RunServing(pressured, MemoMode::kStale, 2, trace,
                                          "smoke_stale_on", 0.8);
-  json.push_back(ServingRow("stale", "off", pressured, base));
-  json.push_back(ServingRow("stale", "stale", pressured, stale));
   std::printf("ab12 smoke stale: offered %.0f qps\n"
               "  memo off: %lld failed, p99 %s, %lld sheds\n"
               "  stale on: %lld failed, p99 %s, %lld stale serves\n",
@@ -492,7 +460,6 @@ int Smoke(BenchTrace* trace) {
     rc = 1;
   }
 
-  WriteJson(json);
   std::printf(rc == 0 ? "ab12 smoke: PASS (deterministic; hit rate, harvest "
                         "and stale-serve gates hold)\n"
                       : "ab12 smoke: FAIL\n");
@@ -506,7 +473,7 @@ void Main(BenchTrace* trace) {
               "reads)\n\n",
               kMachines, kCoresPerMachine, kServiceTime.ToString().c_str(),
               kSlo.ToString().c_str(), kCapacityQps);
-  std::vector<JsonRow> json;
+  BenchJson json;
 
   std::printf("--- zipf sweep: memo off vs on ---\n");
   std::printf("%10s | %9s %9s | %6s | %9s | %7s %7s %7s\n", "mode", "offered",
@@ -520,8 +487,8 @@ void Main(BenchTrace* trace) {
         RunServing(offered, MemoMode::kStale, 1, trace, "zipf_on_" + suffix);
     PrintServing("off", offered, off);
     PrintServing("memo", offered, on);
-    json.push_back(ServingRow("zipf", "off", offered, off));
-    json.push_back(ServingRow("zipf", "memo", offered, on));
+    AddServingRow(json, "zipf", "off", offered, off);
+    AddServingRow(json, "zipf", "memo", offered, on);
   }
   std::printf("(hot keys are answered by the cache tier; the shard CPUs only "
               "see writes and cold reads, so goodput clears the shard "
@@ -546,8 +513,8 @@ void Main(BenchTrace* trace) {
               static_cast<long long>(ship.evacuated),
               static_cast<long long>(ship.considered),
               ship.elapsed.ToString().c_str());
-  json.push_back(HarvestRow("harvest", harvest));
-  json.push_back(HarvestRow("ship_cache", ship));
+  AddHarvestRow(json, "harvest", harvest);
+  AddHarvestRow(json, "ship_cache", ship);
   std::printf("(recomputable bytes are dropped, not shipped: the deadline "
               "budget goes to state that cannot be rebuilt)\n\n");
 
@@ -564,14 +531,14 @@ void Main(BenchTrace* trace) {
   PrintServing("off", pressured, base);
   PrintServing("fresh", pressured, fresh);
   PrintServing("stale", pressured, stale);
-  json.push_back(ServingRow("stale", "off", pressured, base));
-  json.push_back(ServingRow("stale", "fresh", pressured, fresh));
-  json.push_back(ServingRow("stale", "stale", pressured, stale));
+  AddServingRow(json, "stale", "off", pressured, base);
+  AddServingRow(json, "stale", "fresh", pressured, fresh);
+  AddServingRow(json, "stale", "stale", pressured, stale);
   std::printf("(fresh-only hits help until a write invalidates; the bounded-"
               "staleness knob additionally converts shed reads into served, "
               "slightly-old answers)\n\n");
 
-  WriteJson(json);
+  json.WriteFile("results/BENCH_ab12.json");
 }
 
 }  // namespace

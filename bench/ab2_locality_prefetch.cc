@@ -51,7 +51,7 @@ void InvocationCosts() {
     const Ctx ctx = env.rt->CtxOn(0);
     PlacementRequest req;
     req.heap_bytes = 64 * kKiB;
-    req.pinned = MachineId{remote ? 1 : 0};
+    req.pinned = MachineId{remote ? 1u : 0u};
     auto create = env.rt->Create<MemoryProclet>(ctx, req);
     Ref<MemoryProclet> proclet = *env.sim.BlockOn(std::move(create));
 

@@ -8,11 +8,10 @@
 // notice the provider must give for Quicksand to be loss-free.
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "quicksand/cluster/fault_injector.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/proclet/memory_proclet.h"
@@ -78,11 +77,8 @@ void Main() {
       Duration::Micros(200), Duration::Micros(500), Duration::Millis(1),
       Duration::Millis(2),   Duration::Millis(5),   Duration::Millis(10),
   };
-  std::filesystem::create_directories("results");
-  std::ofstream json("results/BENCH_ab6.json");
-  json << "[\n";
-  for (size_t i = 0; i < warnings.size(); ++i) {
-    const Duration warning = warnings[i];
+  BenchJson json;
+  for (const Duration warning : warnings) {
     const Measured m = RunOne(warning, kProclets, kHeapEach);
     const double fraction =
         m.considered == 0 ? 0.0
@@ -92,18 +88,17 @@ void Main() {
                 warning.ToString().c_str(), static_cast<long long>(m.evacuated),
                 static_cast<long long>(m.considered), fraction * 100.0,
                 m.elapsed.ToString().c_str());
-    json << "  {\"warning_us\": " << warning.nanos() / 1000
-         << ", \"considered\": " << m.considered
-         << ", \"evacuated\": " << m.evacuated
-         << ", \"survived_fraction\": " << fraction
-         << ", \"evac_time_us\": " << m.elapsed.nanos() / 1000 << "}"
-         << (i + 1 < warnings.size() ? "," : "") << "\n";
+    json.AddRow()
+        .Int("warning_us", warning.nanos() / 1000)
+        .Int("considered", m.considered)
+        .Int("evacuated", m.evacuated)
+        .Num("survived_fraction", fraction)
+        .Int("evac_time_us", m.elapsed.nanos() / 1000);
   }
-  json << "]\n";
   std::printf("\nEvacuation drains storage > memory > compute, smallest "
               "first; whatever is still in flight at the deadline dies with "
               "the machine.\n");
-  std::printf("wrote %zu rows to results/BENCH_ab6.json\n", warnings.size());
+  json.WriteFile("results/BENCH_ab6.json");
 }
 
 }  // namespace

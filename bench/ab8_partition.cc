@@ -23,16 +23,17 @@
 //
 // --smoke runs the gray-failure scenario twice at the default timeout and
 // exits nonzero if the same-seed runs diverge or any write is lost or
-// duplicated, so CI catches nondeterminism in the partition path.
+// duplicated, so CI catches nondeterminism in the partition path. The full
+// run writes results/BENCH_ab8.json and, from its gray-failure run at the
+// same timeout, m1's postmortem in results/ab8_postmortem_m1.txt.
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "quicksand/cluster/fault_injector.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/durability/recovery_coordinator.h"
@@ -265,10 +266,7 @@ RunResult RunOne(Scenario scenario, Duration confirm_after, double loss,
 
   if (postmortem_path != nullptr) {
     if (const Postmortem* postmortem = recorder.ForMachine(1)) {
-      std::filesystem::create_directories(
-          std::filesystem::path(postmortem_path).parent_path());
-      std::ofstream out(postmortem_path);
-      out << FlightRecorder::Dump(*postmortem);
+      WriteResultFile(postmortem_path, FlightRecorder::Dump(*postmortem));
       std::printf("ab8: wrote m1 postmortem (%zu events, reason '%s') to %s\n",
                   postmortem->events.size(), postmortem->reason.c_str(),
                   postmortem_path);
@@ -279,8 +277,7 @@ RunResult RunOne(Scenario scenario, Duration confirm_after, double loss,
 
 int Smoke(BenchTrace* trace) {
   const RunResult first =
-      RunOne(Scenario::kGray, Duration::Millis(8), 0.0, trace, "smoke_run1",
-             "results/ab8_postmortem_m1.txt");
+      RunOne(Scenario::kGray, Duration::Millis(8), 0.0, trace, "smoke_run1");
   const RunResult second =
       RunOne(Scenario::kGray, Duration::Millis(8), 0.0, trace, "smoke_run2");
   std::printf("ab8 smoke: detect %s, recover %s, %lld/%d acked, %lld fenced, "
@@ -311,37 +308,26 @@ int Smoke(BenchTrace* trace) {
   return 0;
 }
 
-struct JsonRow {
-  std::string scenario;
-  double knob;  // confirm ms for partition scenarios, loss fraction for kLoss
-  RunResult r;
-};
-
-void WriteJson(const std::vector<JsonRow>& rows) {
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_ab8.json");
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const JsonRow& row = rows[i];
-    const RunResult& r = row.r;
-    out << "  {\"scenario\": \"" << row.scenario << "\", \"knob\": " << row.knob
-        << ", \"detect_us\": " << r.detect.nanos() / 1000
-        << ", \"recover_us\": " << r.recover.nanos() / 1000
-        << ", \"writer_us\": " << r.writer_time.nanos() / 1000
-        << ", \"suspicions\": " << r.suspicions
-        << ", \"false_suspicions\": " << r.false_suspicions
-        << ", \"declared_dead\": " << r.declared_dead
-        << ", \"promotions\": " << r.promotions
-        << ", \"fenced_rpcs\": " << r.fenced_rpcs
-        << ", \"duplicates\": " << r.duplicates
-        << ", \"retransmits\": " << r.retransmits
-        << ", \"unreachable\": " << r.unreachable
-        << ", \"acked\": " << r.acked << ", \"failed\": " << r.failed
-        << ", \"wrong\": " << r.wrong << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  std::printf("\nab8: wrote %zu rows to results/BENCH_ab8.json\n", rows.size());
+void AddRow(BenchJson& json, const std::string& scenario, double knob,
+            const RunResult& r) {
+  // knob: confirm ms for partition scenarios, loss fraction for kLoss.
+  json.AddRow()
+      .Str("scenario", scenario)
+      .Num("knob", knob)
+      .Int("detect_us", r.detect.nanos() / 1000)
+      .Int("recover_us", r.recover.nanos() / 1000)
+      .Int("writer_us", r.writer_time.nanos() / 1000)
+      .Int("suspicions", r.suspicions)
+      .Int("false_suspicions", r.false_suspicions)
+      .Int("declared_dead", r.declared_dead)
+      .Int("promotions", r.promotions)
+      .Int("fenced_rpcs", r.fenced_rpcs)
+      .Int("duplicates", r.duplicates)
+      .Int("retransmits", r.retransmits)
+      .Int("unreachable", r.unreachable)
+      .Int("acked", r.acked)
+      .Int("failed", r.failed)
+      .Int("wrong", r.wrong);
 }
 
 void Main(BenchTrace* trace) {
@@ -354,7 +340,7 @@ void Main(BenchTrace* trace) {
   const std::vector<Duration> confirms = {
       Duration::Millis(4), Duration::Millis(8), Duration::Millis(16),
       Duration::Millis(32)};
-  std::vector<JsonRow> rows;
+  BenchJson json;
 
   std::printf("--- transient one-way partition of m1, %s outage ---\n",
               kOutage.ToString().c_str());
@@ -364,7 +350,7 @@ void Main(BenchTrace* trace) {
     const RunResult r =
         RunOne(Scenario::kTransient, confirm, 0.0, trace,
                "transient_confirm_" + confirm.ToString());
-    rows.push_back({"transient", static_cast<double>(confirm.nanos()) / 1e6, r});
+    AddRow(json, "transient", static_cast<double>(confirm.nanos()) / 1e6, r);
     std::printf("%8s | %5lld/%-2lld %9lld | %8lld %8lld | %10s | %5lld\n",
                 confirm.ToString().c_str(),
                 static_cast<long long>(r.false_suspicions),
@@ -384,9 +370,13 @@ void Main(BenchTrace* trace) {
   std::printf("%8s | %9s %9s | %8s %8s | %10s | %5s\n", "confirm", "detect",
               "recover", "fenced", "dedup", "writer", "wrong");
   for (const Duration confirm : confirms) {
-    const RunResult r = RunOne(Scenario::kGray, confirm, 0.0, trace,
-                               "gray_confirm_" + confirm.ToString());
-    rows.push_back({"gray", static_cast<double>(confirm.nanos()) / 1e6, r});
+    // The default-timeout run leaves m1's flight-recorder postmortem behind.
+    const RunResult r = RunOne(
+        Scenario::kGray, confirm, 0.0, trace,
+        "gray_confirm_" + confirm.ToString(),
+        confirm == Duration::Millis(8) ? "results/ab8_postmortem_m1.txt"
+                                       : nullptr);
+    AddRow(json, "gray", static_cast<double>(confirm.nanos()) / 1e6, r);
     std::printf("%8s | %9s %9s | %8lld %8lld | %10s | %5lld\n",
                 confirm.ToString().c_str(), r.detect.ToString().c_str(),
                 r.recover.ToString().c_str(),
@@ -405,7 +395,7 @@ void Main(BenchTrace* trace) {
     const RunResult r =
         RunOne(Scenario::kLoss, Duration::Millis(8), loss, trace,
                "loss_" + std::to_string(static_cast<int>(loss * 100)) + "pct");
-    rows.push_back({"loss", loss, r});
+    AddRow(json, "loss", loss, r);
     std::printf("%5.0f%% | %5lld/%-2lld %9lld | %10lld %11lld | %10s | %5lld\n",
                 loss * 100, static_cast<long long>(r.false_suspicions),
                 static_cast<long long>(r.suspicions),
@@ -418,7 +408,7 @@ void Main(BenchTrace* trace) {
   std::printf("(loss inflates retransmits and can falsely suspect — but the "
               "request-id dedup keeps every acked write exactly-once "
               "regardless)\n");
-  WriteJson(rows);
+  json.WriteFile("results/BENCH_ab8.json");
 }
 
 }  // namespace

@@ -23,17 +23,16 @@
 //
 // --smoke runs the 2x-capacity point twice with controls on (same-seed
 // digests must match — the determinism gate) plus once with controls off,
-// and exits nonzero unless collapse-without/plateau-with holds. It also
-// writes results/BENCH_ab9.json with {offered, goodput, p99} rows.
+// and exits nonzero unless collapse-without/plateau-with holds. The full
+// run writes results/BENCH_ab9.json with {offered, goodput, p99} rows.
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "quicksand/cluster/metrics.h"
 #include "quicksand/common/bytes.h"
 #include "quicksand/durability/replication.h"
@@ -222,34 +221,14 @@ void PrintRow(double offered, const char* which, const RunResult& r) {
               static_cast<long long>(r.budget_denied));
 }
 
-struct JsonRow {
-  std::string scenario;
-  double offered_qps;
-  bool controls_on;
-  double goodput_qps;
-  double p99_us;
-};
-
-void WriteJson(const std::vector<JsonRow>& rows) {
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_ab9.json");
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    out << "  {\"scenario\": \"" << rows[i].scenario
-        << "\", \"offered_qps\": " << rows[i].offered_qps
-        << ", \"controls\": \"" << (rows[i].controls_on ? "on" : "off")
-        << "\", \"goodput_qps\": " << rows[i].goodput_qps
-        << ", \"p99_us\": " << rows[i].p99_us << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "]\n";
-  std::printf("ab9: wrote %zu rows to results/BENCH_ab9.json\n", rows.size());
-}
-
-JsonRow Row(const std::string& scenario, double offered, bool on,
-            const RunResult& r) {
-  return JsonRow{scenario, offered, on, r.goodput_qps,
-                 static_cast<double>(r.p99.nanos()) / 1e3};
+void AddRow(BenchJson& json, const std::string& scenario, double offered,
+            bool on, const RunResult& r) {
+  json.AddRow()
+      .Str("scenario", scenario)
+      .Num("offered_qps", offered)
+      .Str("controls", on ? "on" : "off")
+      .Num("goodput_qps", r.goodput_qps)
+      .Num("p99_us", static_cast<double>(r.p99.nanos()) / 1e3);
 }
 
 int Smoke(BenchTrace* trace) {
@@ -257,7 +236,6 @@ int Smoke(BenchTrace* trace) {
   const RunResult on1 = RunOne(offered, kAllOn, 1, trace, "smoke_on_run1");
   const RunResult on2 = RunOne(offered, kAllOn, 1, trace, "smoke_on_run2");
   const RunResult off = RunOne(offered, kAllOff, 1, trace, "smoke_off");
-  WriteJson({Row("smoke", offered, true, on1), Row("smoke", offered, false, off)});
   std::printf("ab9 smoke: offered %.0f qps (capacity %.0f)\n"
               "  controls on:  goodput %.0f qps, p99 %s, shed %lld, "
               "deadline-rejected %lld\n"
@@ -316,7 +294,7 @@ void Main(BenchTrace* trace) {
               kMachines, kCoresPerMachine, kMachines - 1,
               kServiceTime.ToString().c_str(), kSlo.ToString().c_str(),
               kCapacityQps);
-  std::vector<JsonRow> json;
+  BenchJson json;
 
   std::printf("--- offered load sweep: controls off vs on ---\n");
   std::printf("%8s %4s | %9s %7s %7s | %9s %9s | %7s %7s %7s\n", "offered",
@@ -330,8 +308,8 @@ void Main(BenchTrace* trace) {
     const RunResult on = RunOne(offered, kAllOn, 1, trace, "sweep_on_" + suffix);
     PrintRow(offered, "off", off);
     PrintRow(offered, "on", on);
-    json.push_back(Row("sweep", offered, false, off));
-    json.push_back(Row("sweep", offered, true, on));
+    AddRow(json, "sweep", offered, false, off);
+    AddRow(json, "sweep", offered, true, on);
   }
   std::printf("(past capacity the uncontrolled tail is the queue itself — "
               "everything completes, arbitrarily late; with controls the "
@@ -352,8 +330,8 @@ void Main(BenchTrace* trace) {
                                     /*diurnal_amplitude=*/0.3);
   PrintRow(base, "off", flash_off);
   PrintRow(base, "on", flash_on);
-  json.push_back(Row("flash", base, false, flash_off));
-  json.push_back(Row("flash", base, true, flash_on));
+  AddRow(json, "flash", base, false, flash_off);
+  AddRow(json, "flash", base, true, flash_on);
   std::printf("(the flash crowd alone saturates; shedding is confined to the "
               "spike — before and after it nothing is rejected)\n\n");
 
@@ -375,11 +353,11 @@ void Main(BenchTrace* trace) {
               "rejected, %lld answered from the backup (bounded staleness)\n",
               100.0 * served(deg_on), static_cast<long long>(deg_on.failed),
               static_cast<long long>(deg_on.stale_fallbacks));
-  json.push_back(Row("degraded", 2.0 * kCapacityQps, true, deg_on));
+  AddRow(json, "degraded", 2.0 * kCapacityQps, true, deg_on);
   std::printf("(a shed read is not a lost read when a replica exists: the "
               "backup answers within its staleness bound)\n\n");
 
-  WriteJson(json);
+  json.WriteFile("results/BENCH_ab9.json");
 }
 
 }  // namespace

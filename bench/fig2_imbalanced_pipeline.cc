@@ -15,12 +15,11 @@
 // proclets to idle cores, and the prefetcher hides remote reads, so all
 // four configurations should complete in nearly the same time.
 //
-// QS_FIG2_IMAGES overrides the dataset size (default 60000, the full-scale
-// calibration; use e.g. 6000 for a quick run — times scale proportionally).
+// The dataset is the paper's full-scale calibration (60000 images), so the
+// paper column is printed unscaled (the 1.00x dataset factor).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "quicksand/app/image.h"
 #include "quicksand/app/trainer.h"
@@ -153,11 +152,7 @@ RunStats RunConfig(const Config& config, int64_t num_images) {
 }
 
 void Main() {
-  int64_t num_images = 60000;
-  if (const char* env = std::getenv("QS_FIG2_IMAGES")) {
-    num_images = std::atoll(env);
-  }
-  const double scale = static_cast<double>(num_images) / 60000.0;
+  constexpr int64_t kImages = 60000;
 
   std::vector<Config> configs = {
       {"Baseline (1 machine)", 26.1, {Spec(46, 13.0)}},
@@ -167,20 +162,20 @@ void Main() {
   };
 
   std::printf("=== Figure 2: preprocessing pipeline under resource imbalance ===\n");
-  std::printf("images: %lld (scale %.2fx of the paper's calibration)\n\n",
-              static_cast<long long>(num_images), scale);
+  std::printf("images: %lld (scale 1.00x of the paper's calibration)\n\n",
+              static_cast<long long>(kImages));
   std::printf("%-22s %10s %12s %12s %9s %9s %8s %8s\n", "configuration", "time[s]",
               "paper[s]*", "vs baseline", "cpu0", "cpu1", "remote", "migr");
 
   double baseline_seconds = 0;
   for (const Config& config : configs) {
-    const RunStats stats = RunConfig(config, num_images);
+    const RunStats stats = RunConfig(config, kImages);
     if (baseline_seconds == 0) {
       baseline_seconds = stats.seconds;
     }
     std::printf("%-22s %10.1f %12.1f %11.1f%% %8.0f%% %8.0f%% %8lld %8lld"
                 " (cpu:%lld mem:%lld glob:%lld)\n",
-                config.name, stats.seconds, config.paper_seconds * scale,
+                config.name, stats.seconds, config.paper_seconds,
                 100.0 * stats.seconds / baseline_seconds,
                 100.0 * stats.cpu_util[0],
                 config.machines.size() > 1 ? 100.0 * stats.cpu_util[1] : 0.0,

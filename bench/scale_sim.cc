@@ -10,8 +10,10 @@
 // sim-seconds-per-wall-second. A raw schedule/cancel/fire row isolates the
 // event queue itself from coroutine overhead.
 //
-// Results land in results/BENCH_scale.json (one row per cell) so the perf
-// trajectory is visible across PRs.
+// The full run writes results/BENCH_scale.json, one row per cell with its
+// model columns only (events, simulated seconds, digest), so the record is
+// reproducible byte for byte; the host-timed columns (wall ms, events/sec,
+// sim-seconds per wall-second) are printed, never recorded.
 //
 // --smoke: fixed small sweep, two same-seed runs must produce identical
 // digests (the determinism gate), and events/sec must clear a deliberately
@@ -20,12 +22,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "quicksand/sim/simulator.h"
 #include "quicksand/sim/sync.h"
 
@@ -276,26 +277,20 @@ void PrintRow(const CellResult& r) {
 }
 
 void WriteJson(const std::vector<CellResult>& rows) {
-  std::filesystem::create_directories("results");
-  std::ofstream out("results/BENCH_scale.json");
-  out << "[\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const CellResult& r = rows[i];
+  BenchJson json;
+  for (const CellResult& r : rows) {
     char digest[32];
     std::snprintf(digest, sizeof(digest), "%016llx",
                   static_cast<unsigned long long>(r.digest));
-    out << "  {\"scenario\": \"" << r.label << "\", \"machines\": " << r.machines
-        << ", \"proclets\": " << r.proclets << ", \"events\": " << r.events
-        << ", \"wall_ms\": " << r.wall_ms
-        << ", \"events_per_sec\": " << r.events_per_sec
-        << ", \"sim_seconds\": " << r.sim_seconds
-        << ", \"sim_seconds_per_wall_second\": " << r.sim_per_wall
-        << ", \"digest\": \"" << digest << "\"}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
+    json.AddRow()
+        .Str("scenario", r.label)
+        .Int("machines", r.machines)
+        .Int("proclets", r.proclets)
+        .Int("events", r.events)
+        .Num("sim_seconds", r.sim_seconds)
+        .Str("digest", digest);
   }
-  out << "]\n";
-  std::printf("scale_sim: wrote %zu rows to results/BENCH_scale.json\n",
-              rows.size());
+  json.WriteFile("results/BENCH_scale.json");
 }
 
 // The floor is far below what even an unoptimized core sustains on slow CI

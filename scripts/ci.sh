@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 tests (plain + ASan/UBSan via scripts/check.sh) and
 # the smoke gates (durability, trace determinism, partition failover,
-# overload control, autoscale, chaos, memoization), each of which fails on
-# nondeterminism between two same-seed runs, plus two byte-for-byte gates:
-# ab3 must reproduce the committed results/BENCH_ab3.json, and fig1/fig2
+# overload control, autoscale, chaos, memoization, event core), each of which
+# fails on nondeterminism between two same-seed runs and none of which may
+# write under results/, plus two byte-for-byte gates over the benches listed
+# in scripts/benches.sh: the full run of every record bench must reproduce
+# its committed results/ files (no file missing or extra), and fig1/fig2
 # (the cpu-quantum-heavy figures) their committed stdout in results/.
 # Every bench step runs in a scratch working directory with its own
-# results/, so the records the benches write never touch the committed ones.
+# results/, so the files the benches write never touch the committed ones.
 #
 # Usage: scripts/ci.sh            # full gate
 #        scripts/ci.sh --soak N   # chaos soak only: N seeded schedules
@@ -15,6 +17,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+source scripts/benches.sh
 
 jobs="$(nproc 2>/dev/null || echo 4)"
 
@@ -64,16 +67,6 @@ bench build/bench/ab11_chaos --smoke
 echo "== memo smoke: hit-rate, cache-first harvest and stale-serve gates, deterministically =="
 bench build/bench/ab12_memo --smoke
 
-echo "== split/merge gate: ab3 reproduces the committed split/merge cost record byte for byte =="
-bench build/bench/ab3_split_merge >/dev/null
-cmp "$work_dir/results/BENCH_ab3.json" results/BENCH_ab3.json
-
-echo "== cpu-slice gate: fig1 and fig2 reproduce their committed output byte for byte =="
-for fig in fig1_filler_migration fig2_imbalanced_pipeline; do
-  bench "build/bench/$fig" >"$work_dir/$fig.txt"
-  cmp "$work_dir/$fig.txt" "results/$fig.txt"
-done
-
 echo "== scale smoke: event-core digests stable across runs, throughput above floor =="
 bench build/bench/scale_sim --smoke
 
@@ -82,5 +75,27 @@ bench build-asan/bench/ab11_chaos --smoke
 
 echo "== memo smoke (sanitized): same gate under ASan/UBSan =="
 bench build-asan/bench/ab12_memo --smoke
+
+echo "== smoke runs write no records =="
+if [[ -n "$(ls -A "$work_dir/results")" ]]; then
+  echo "a --smoke run wrote under results/:" >&2
+  ls -A "$work_dir/results" >&2
+  exit 1
+fi
+
+echo "== records gate: every full run reproduces its committed results/ files byte for byte =="
+for b in "${record_benches[@]}"; do
+  bench "build/bench/$b" >/dev/null
+done
+diff <(cd "$work_dir/results" && ls BENCH_*.json) <(cd results && ls BENCH_*.json)
+for f in "$work_dir"/results/*; do
+  cmp "$f" "results/${f##*/}"
+done
+
+echo "== cpu-slice gate: fig1 and fig2 reproduce their committed output byte for byte =="
+for b in "${stdout_benches[@]}"; do
+  bench "build/bench/$b" >"$work_dir/$b.txt"
+  cmp "$work_dir/$b.txt" "results/$b.txt"
+done
 
 echo "CI: all gates passed"

@@ -1,33 +1,28 @@
 #!/usr/bin/env bash
-# Builds everything, runs the test suite, then regenerates every figure,
-# table, and ablation — the outputs EXPERIMENTS.md records.
+# Builds everything, runs the test suite, then regenerates every bench output
+# committed under results/ — exactly the files scripts/ci.sh compares: the
+# records the full runs of scripts/benches.sh's record_benches write, and the
+# stdout of its stdout_benches.
 #
-# Usage: scripts/run_all.sh [--quick]
-#   --quick  scale Fig. 2 down to 6000 images (~10x faster, same shape)
+# Usage: scripts/run_all.sh
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
+source scripts/benches.sh
 
-FIG2_IMAGES=60000
-if [[ "${1:-}" == "--quick" ]]; then
-  FIG2_IMAGES=6000
-fi
+jobs="$(nproc 2>/dev/null || echo 4)"
 
-cmake -B build -G Ninja
-cmake --build build
-ctest --test-dir build --timeout 300
+cmake -B build -S .
+cmake --build build -j"$jobs"
+ctest --test-dir build --output-on-failure
 
-mkdir -p results
-for b in fig1_filler_migration fig3_gpu_adaptation \
-         ab1_migration_latency ab2_locality_prefetch ab3_split_merge \
-         ab4_placement_policies ab5_lazy_migration; do
+for b in "${record_benches[@]}"; do
   echo "== $b =="
-  ./build/bench/$b | tee "results/$b.txt"
+  "./build/bench/$b"
 done
-echo "== fig2_imbalanced_pipeline (QS_FIG2_IMAGES=$FIG2_IMAGES) =="
-QS_FIG2_IMAGES=$FIG2_IMAGES ./build/bench/fig2_imbalanced_pipeline |
-  tee results/fig2_imbalanced_pipeline.txt
-echo "== micro_sim =="
-./build/bench/micro_sim --benchmark_min_time=0.1s | tee results/micro_sim.txt
+for b in "${stdout_benches[@]}"; do
+  echo "== $b =="
+  "./build/bench/$b" | tee "results/$b.txt"
+done
 
 echo "all outputs in results/"

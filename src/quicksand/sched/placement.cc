@@ -79,29 +79,6 @@ Result<MachineId> BestFitPolicy::Place(const PlacementRequest& request,
   return best;
 }
 
-Result<MachineId> LocalityAwarePolicy::Place(const PlacementRequest& request,
-                                             Cluster& cluster) {
-  if (request.pinned.has_value()) {
-    return *request.pinned;
-  }
-  BestFitPolicy best_fit;
-  Result<MachineId> best = best_fit.Place(request, cluster);
-  if (!best.ok() || request.near == kInvalidMachineId ||
-      request.near >= cluster.size()) {
-    return best;
-  }
-  const Machine& near = cluster.machine(request.near);
-  if (!Feasible(request, near)) {
-    return best;
-  }
-  const double near_score = PlacementScore(request, near);
-  const double best_score = PlacementScore(request, cluster.machine(*best));
-  if (near_score >= best_score * (1.0 - slack_)) {
-    return request.near;
-  }
-  return best;
-}
-
 Result<MachineId> ChooseReplicaTarget(Cluster& cluster, MachineId avoid,
                                       int64_t bytes) {
   MachineId best = kInvalidMachineId;

@@ -4,9 +4,7 @@
 // score machines along that single dimension: memory proclets go where free
 // bytes are, compute proclets go where cores are idle (§3.1 — this is what
 // makes combining the stranded halves of two imbalanced machines possible in
-// Fig. 2). LocalityAwarePolicy additionally honors an affinity hint so
-// chatty proclets colocate when resources permit (§5, "How can we maintain
-// locality?").
+// Fig. 2).
 
 #ifndef QUICKSAND_SCHED_PLACEMENT_H_
 #define QUICKSAND_SCHED_PLACEMENT_H_
@@ -24,7 +22,6 @@ namespace quicksand {
 struct PlacementRequest {
   ProcletKind kind = ProcletKind::kMemory;
   int64_t heap_bytes = 0;                 // initial memory demand
-  MachineId near = kInvalidMachineId;     // affinity hint (best effort)
   std::optional<MachineId> pinned;        // force placement (overrides policy)
   MachineId exclude = kInvalidMachineId;  // never place here (evictions)
 };
@@ -56,19 +53,6 @@ class BestFitPolicy : public PlacementPolicy {
  public:
   Result<MachineId> Place(const PlacementRequest& request, Cluster& cluster) override;
   std::string name() const override { return "best_fit"; }
-};
-
-// BestFit, but takes the `near` machine when its score is within a slack
-// factor of the best — trading a little balance for locality.
-class LocalityAwarePolicy : public PlacementPolicy {
- public:
-  explicit LocalityAwarePolicy(double slack = 0.5) : slack_(slack) {}
-
-  Result<MachineId> Place(const PlacementRequest& request, Cluster& cluster) override;
-  std::string name() const override { return "locality_aware"; }
-
- private:
-  double slack_;
 };
 
 // Per-machine desirability score for a request; higher is better. Shared by

@@ -31,7 +31,7 @@ struct JoinAwaiter {
 Task<> Fiber::Join() {
   QS_CHECK_MSG(state_ != nullptr, "Join() on an empty Fiber");
   if (!state_->done) {
-    co_await JoinAwaiter{*state_};
+    co_await JoinAwaiter{*state_, {}};
   }
   if (state_->error) {
     std::rethrow_exception(state_->error);

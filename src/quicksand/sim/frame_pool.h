@@ -1,7 +1,7 @@
 // FramePool: a size-class freelist for coroutine frames.
 //
 // Every Task<T> body, root wrapper, and coroutine-returning primitive
-// (Mutex::Lock, channel ops, Fiber::Join) allocates its frame through the
+// (Mutex::Lock, Fiber::Join) allocates its frame through the
 // promise's operator new. With a million fibers in flight (bench/scale_sim)
 // that is millions of malloc/free pairs of a handful of distinct sizes, and
 // the frames end up scattered across the heap — the event loop's dominant

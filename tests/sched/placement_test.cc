@@ -99,37 +99,5 @@ TEST(PlacementTest, ResourceExhaustedWhenNothingFits) {
             StatusCode::kResourceExhausted);
 }
 
-TEST(PlacementTest, LocalityAwareHonorsNearWithinSlack) {
-  Fixture f;
-  f.Add(4, 8_GiB);
-  f.Add(4, 6_GiB);  // slightly less free memory
-  LocalityAwarePolicy policy(/*slack=*/0.5);
-  PlacementRequest req = MemReq(1_MiB);
-  req.near = MachineId{1};
-  // Machine 1 has 6/8 = 75% of the best score; within 50% slack -> near wins.
-  EXPECT_EQ(*policy.Place(req, f.cluster), 1u);
-}
-
-TEST(PlacementTest, LocalityAwareRejectsNearBeyondSlack) {
-  Fixture f;
-  f.Add(4, 8_GiB);
-  f.Add(4, 1_GiB);
-  LocalityAwarePolicy policy(/*slack=*/0.5);
-  PlacementRequest req = MemReq(1_MiB);
-  req.near = MachineId{1};
-  // 1/8 of the best score is far below the 50% threshold.
-  EXPECT_EQ(*policy.Place(req, f.cluster), 0u);
-}
-
-TEST(PlacementTest, LocalityAwareFallsBackWhenNearInfeasible) {
-  Fixture f;
-  f.Add(4, 8_GiB);
-  f.Add(4, 1_GiB);
-  LocalityAwarePolicy policy(1.0);  // always prefer near if feasible
-  PlacementRequest req = MemReq(2_GiB);
-  req.near = MachineId{1};
-  EXPECT_EQ(*policy.Place(req, f.cluster), 0u);
-}
-
 }  // namespace
 }  // namespace quicksand
